@@ -59,7 +59,6 @@ from .construct import (
     ConstructionError,
     IndexAntichain,
     TraceError,
-    binomial,
     construct_2rigid,
     construct_ellrigid,
     dual_2,

@@ -31,7 +31,6 @@ from .construct import (
 )
 from .kernel import (
     CapacityError,
-    EncodingError,
     PartialFn,
     Relation,
     is_trivial,
@@ -71,6 +70,10 @@ class ClassificationRecord:
         }
 
 
+# raised by unreadable or malformed input files (JSON and encoding errors are ValueErrors)
+_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError)
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
@@ -101,7 +104,7 @@ def cmd_check(args) -> int:
     try:
         with open(args.relation, "r", encoding="utf-8") as fh:
             rho = Relation.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, EncodingError, ValueError, KeyError) as exc:
+    except _LOAD_ERRORS as exc:
         print(f"error: cannot load relation: {exc}", file=sys.stderr)
         return 2
     try:
@@ -174,10 +177,10 @@ def cmd_construct(args) -> int:
 
 def cmd_classify(args) -> int:
     k, h, ell = args.k, args.h, args.ell
-    if k**h > 16:
+    if k < 2 or h < 1 or k**h > 16:
         print(
             f"error: classify sweeps 2**(k**h) relations and requires "
-            f"k**h <= 16, got {k**h}",
+            f"k >= 2, h >= 1 and k**h <= 16, got k={k}, h={h}",
             file=sys.stderr,
         )
         return 2
@@ -226,8 +229,8 @@ def cmd_classify(args) -> int:
 
 def cmd_bounds(args) -> int:
     ell, h = args.ell, args.h
-    if ell < 1 or h < 1:
-        print("error: need ell >= 1 and h >= 1", file=sys.stderr)
+    if ell < 1 or h < 1 or (args.k is not None and args.k < 2):
+        print("error: need ell >= 1, h >= 1 and k >= 2", file=sys.stderr)
         return 2
     rows = [("ell", ell), ("h", h)]
     s = surjection_count(h, ell)
@@ -279,7 +282,7 @@ def cmd_strong(args) -> int:
         try:
             with open(args.fn_file, "r", encoding="utf-8") as fh:
                 f = PartialFn.from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, EncodingError, ValueError, KeyError) as exc:
+        except _LOAD_ERRORS as exc:
             print(f"error: cannot load function: {exc}", file=sys.stderr)
             return 2
         try:

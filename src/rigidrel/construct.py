@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .kernel import (
     CapacityError,
@@ -22,10 +21,15 @@ from .kernel import (
     beta,
     beta_lt,
     mask_bits,
+    rank_count,
     subsets_colex,
-    tuple_rank,
 )
-from .rigidity import RigidityReport, TraceMap, is_hereditarily_ell_rigid
+from .rigidity import (
+    RigidityReport,
+    TraceMap,
+    comparable_masks,
+    is_hereditarily_ell_rigid,
+)
 
 
 class BoundError(ValueError):
@@ -42,10 +46,6 @@ class ConstructionError(RuntimeError):
     def __init__(self, message: str, report: RigidityReport | None = None):
         super().__init__(message)
         self.report = report
-
-
-def binomial(n: int, r: int) -> int:
-    return math.comb(n, r)
 
 
 def falling_factorial(n: int, r: int) -> int:
@@ -113,13 +113,7 @@ class IndexAntichain:
     members: tuple  # frozensets of index patterns
 
     def validate_antichain(self) -> bool:
-        sizes = {len(m) for m in self.members}
-        if len(sizes) <= 1:
-            return len(set(self.members)) == len(self.members)
-        for a, b in itertools.permutations(self.members, 2):
-            if a <= b:
-                return False
-        return True
+        return _strict_antichain(self.members)
 
 
 def middle_layer(ground, forbidden=()) -> IndexAntichain:
@@ -161,14 +155,8 @@ def dual_2(x_set) -> frozenset:
     return dual
 
 
-@dataclass(frozen=True)
-class AbstractTrace:
+class AbstractTrace(TraceMap):
     """A synthetic trace assignment, to be validated before use."""
-
-    ell: int
-    h: int
-    k: int
-    items: tuple  # sorted tuple of (x, frozenset of patterns)
 
     @classmethod
     def from_dict(cls, ell: int, h: int, k: int, mapping) -> "AbstractTrace":
@@ -178,10 +166,6 @@ class AbstractTrace:
     @classmethod
     def from_trace_map(cls, tm: TraceMap) -> "AbstractTrace":
         return cls(tm.ell, tm.h, tm.k, tm.items)
-
-    @cached_property
-    def as_dict(self) -> dict:
-        return dict(self.items)
 
     def validate(self) -> None:
         """Raise TraceError unless the assignment is total over the
@@ -210,28 +194,15 @@ class AbstractTrace:
 
     def values_strictly_incomparable(self) -> bool:
         """No trace contained in (or equal to) another trace's set."""
-        patterns = sorted({p for _, tx in self.items for p in tx})
-        idx = {p: i for i, p in enumerate(patterns)}
-        masks = []
-        for _, tx in self.items:
-            m = 0
-            for p in tx:
-                m |= 1 << idx[p]
-            masks.append(m)
-        by_size: dict[int, list] = {}
-        for m in masks:
-            by_size.setdefault(m.bit_count(), []).append(m)
-        for size, group in by_size.items():
-            if len(set(group)) != len(group):
-                return False
-        sizes = sorted(by_size)
-        for i, s1 in enumerate(sizes):
-            for s2 in sizes[i + 1 :]:
-                for m1 in by_size[s1]:
-                    for m2 in by_size[s2]:
-                        if m1 & ~m2 == 0:
-                            return False
-        return True
+        return _strict_antichain([tx for _, tx in self.items])
+
+
+def _strict_antichain(sets) -> bool:
+    """No set contained in (or equal to) another, tested on bit-masks."""
+    bit: dict = {}
+    return not comparable_masks(
+        sum(bit.setdefault(p, 1 << len(bit)) for p in x) for x in sets
+    )
 
 
 def rho_from_trace(tr: AbstractTrace) -> Relation:
@@ -240,19 +211,10 @@ def rho_from_trace(tr: AbstractTrace) -> Relation:
     tuple.  Non-equivariant assignments are rejected."""
     tr.validate()
     ell, h, k = tr.ell, tr.h, tr.k
-    total = k**h
-    buf = bytearray((total + 7) // 8)
-
-    def set_tuple(t):
-        r = tuple_rank(t, k)
-        buf[r >> 3] |= 1 << (r & 7)
-
-    for t in beta_lt(ell, h, range(k)):
-        set_tuple(t)
-    for x, tx in tr.items:
-        for p in tx:
-            set_tuple(tuple(x[e] for e in p))
-    return Relation(k, h, bytes(buf))
+    patterned = (tuple(x[e] for e in p) for x, tx in tr.items for p in tx)
+    return Relation.from_tuples(
+        k, h, itertools.chain(beta_lt(ell, h, range(k)), patterned)
+    )
 
 
 def _verified(rho: Relation, ell: int) -> Relation:
@@ -284,6 +246,7 @@ def construct_2rigid(k: int, h: int) -> Relation:
             f"no hereditarily 2-rigid relation at k={k}, h={h}: "
             f"k(k-1) = {k * (k - 1)} > C({s},{c}) = {math.comb(s, c)}"
         )
+    rank_count(k, h)  # refuse before any work a relation too large to hold
     patterns = sorted(beta(2, h, (0, 1)))
     assert len(patterns) == s
     stream = (
@@ -308,7 +271,6 @@ def construct_2rigid(k: int, h: int) -> Relation:
                 f"middle layer exhausted at pair ({a},{b})"
             )
     tr = AbstractTrace.from_dict(2, h, k, assignment)
-    tr.validate()
     if not tr.values_strictly_incomparable():
         raise ConstructionError("assigned trace sets are not an antichain")
     return _verified(rho_from_trace(tr), 2)
@@ -345,6 +307,7 @@ def construct_ellrigid(k: int, ell: int, h: int) -> Relation:
             f"counting criterion fails at k={k}, ell={ell}, h={h}: "
             f"{need} > C({s - fe},{(s - fe) // 2}) = {lower}"
         )
+    rank_count(k, h)
     patterns = sorted(beta(ell, h, range(ell)))
     perms = list(itertools.permutations(range(ell)))
     y = patterns[0]
@@ -371,7 +334,6 @@ def construct_ellrigid(k: int, ell: int, h: int) -> Relation:
             moved = frozenset(tuple(inv[e] for e in p) for p in x_set)
             assignment[xp] = moved | {tuple(inv[e] for e in y)}
     tr = AbstractTrace.from_dict(ell, h, k, assignment)
-    tr.validate()
     if not tr.values_strictly_incomparable():
         raise ConstructionError("assigned trace sets are not an antichain")
     return _verified(rho_from_trace(tr), ell)
@@ -383,7 +345,8 @@ def _assign_orbit_disjoint(reps, stream, perms, orbit_size, node_budget=200_000)
 
     Greedy in stream order; the depth-first fallback only backtracks when
     the greedy pass would fail, and gives up deterministically once the
-    node budget is spent.
+    node budget is spent.  The search keeps its own stack, so the number
+    of representatives is not bounded by the recursion limit.
     """
     candidates = []  # (set, orbit) pairs with free orbits, in stream order
     pull_budget = 64 * len(reps) + 256
@@ -400,33 +363,25 @@ def _assign_orbit_disjoint(reps, stream, perms, orbit_size, node_budget=200_000)
                 candidates.append((x_set, orbit))
         return True
 
+    picks: list = []  # candidate index chosen for each representative so far
+    used: list = []  # their orbits
+    pos = 0
     nodes = 0
-    chosen: dict = {}
-    used: list = []
-
-    def dfs(i, start) -> bool:
-        nonlocal nodes
-        if i == len(reps):
-            return True
-        pos = start
-        while True:
-            nodes += 1
-            if nodes > node_budget:
-                return False
-            if not ensure(pos):
-                return False
-            x_set, orbit = candidates[pos]
-            if all(not (orbit & prev) for prev in used):
-                chosen[reps[i]] = x_set
-                used.append(orbit)
-                if dfs(i + 1, pos + 1):
-                    return True
-                used.pop()
-                del chosen[reps[i]]
-            pos += 1
-
-    if not dfs(0, 0):
+    while len(picks) < len(reps) and nodes < node_budget:
+        nodes += 1
+        if not ensure(pos):
+            if not picks:
+                break
+            pos = picks.pop() + 1
+            used.pop()
+            continue
+        orbit = candidates[pos][1]
+        if all(not (orbit & prev) for prev in used):
+            picks.append(pos)
+            used.append(orbit)
+        pos += 1
+    if len(picks) < len(reps):
         raise ConstructionError(
             "could not pick orbit-disjoint antichain members within budget"
         )
-    return chosen
+    return {rep: candidates[i][0] for rep, i in zip(reps, picks)}

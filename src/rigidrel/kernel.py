@@ -10,7 +10,7 @@ bits.  Partial functions are kept as explicit graphs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 
@@ -32,9 +32,27 @@ _BYTE_BITS = tuple(
 )
 
 
+# Most ranks a dense relation mask may cover: 2**32 bits make a 512 MiB mask.
+MAX_RANKS = 1 << 32
+
+
 def _check_k(k: int) -> None:
     if k < 2:
         raise ValueError(f"base set must have at least 2 elements, got k={k}")
+
+
+def rank_count(k: int, h: int) -> int:
+    """Number k**h of h-tuples over {0..k-1}, refused with CapacityError
+    when a dense mask over them would exceed MAX_RANKS bits."""
+    _check_k(k)
+    if h < 1:
+        raise ValueError(f"arity must be >= 1, got {h}")
+    if h > MAX_RANKS.bit_length() or k**h > MAX_RANKS:  # as k >= 2, h alone may tell
+        raise CapacityError(
+            f"a dense mask over {k}**{h} tuples exceeds the guard of "
+            f"{MAX_RANKS} bits"
+        )
+    return k**h
 
 
 def tuple_rank(entries, k: int) -> int:
@@ -138,10 +156,7 @@ class Relation:
     mask: bytes
 
     def __post_init__(self):
-        _check_k(self.k)
-        if self.h < 1:
-            raise ValueError(f"arity must be >= 1, got {self.h}")
-        total = self.k**self.h
+        total = rank_count(self.k, self.h)
         nbytes = (total + 7) // 8
         if len(self.mask) != nbytes:
             raise EncodingError(
@@ -155,7 +170,7 @@ class Relation:
 
     @classmethod
     def from_ranks(cls, k: int, h: int, ranks) -> "Relation":
-        total = k**h
+        total = rank_count(k, h)
         buf = bytearray((total + 7) // 8)
         for r in ranks:
             if not 0 <= r < total:
@@ -223,25 +238,14 @@ class Relation:
     def support_index(self):
         """Members grouped by exact support (set of entries, as a bit-mask).
 
-        Each bucket is a rank-ascending list of (rank, entries, coeffs)
-        where coeffs[i] is the sum of positional weights k**(h-1-pos) at
-        which the i-th smallest support element occurs.  Applying a unary
-        map with values v on the sorted support gives the image rank as
-        the dot product of v with coeffs.
+        Each bucket is a rank-ascending list of (rank, entries) pairs.
         """
-        k, h = self.k, self.h
-        weights = tuple(k ** (h - 1 - i) for i in range(h))
         index: dict[int, list] = {}
         for rank, entries in zip(self.ranks, self.members):
-            acc: dict[int, int] = {}
-            for w, e in zip(weights, entries):
-                acc[e] = acc.get(e, 0) + w
-            support = sorted(acc)
             smask = 0
-            for e in support:
+            for e in entries:
                 smask |= 1 << e
-            coeffs = tuple(acc[e] for e in support)
-            index.setdefault(smask, []).append((rank, entries, coeffs))
+            index.setdefault(smask, []).append((rank, entries))
         return index
 
     # -- serialization -----------------------------------------------------

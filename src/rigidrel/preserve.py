@@ -19,7 +19,6 @@ from .kernel import (
     PartialUnaryFn,
     Relation,
     all_partial_unary,
-    tuple_rank,
 )
 
 
@@ -97,7 +96,7 @@ def unary_preserves(f: PartialUnaryFn, rho: Relation) -> PreservationVerdict:
     table = f.table
     k, h = rho.k, rho.h
     mask = rho.mask
-    for _, entries, _ in candidates:
+    for _, entries in candidates:
         r = 0
         for e in entries:
             r = r * k + table[e]

@@ -11,8 +11,10 @@ that moves a point may preserve it.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import Optional
 
 from .kernel import (
@@ -26,6 +28,7 @@ from .kernel import (
     mask_bits,
     subsets_colex,
     tuple_rank,
+    tuple_unrank,
 )
 from .preserve import ppol1, unary_preserves
 
@@ -127,33 +130,83 @@ def verify_report(rho: Relation, ell: int, report: RigidityReport) -> bool:
     return unary_preserves(f, rho).preserved
 
 
+@lru_cache(maxsize=None)
+def _pattern_weights(k: int, h: int, m: int) -> tuple:
+    """Sorted surjective h-patterns onto range(m), each with its weights w:
+    the tuple y composed with the pattern has rank sum(y[j] * w[j])."""
+    out = []
+    for p in sorted(beta(m, h, range(m))):
+        w = [0] * m
+        for i, j in enumerate(p):
+            w[j] += k ** (h - 1 - i)
+        out.append((p, tuple(w)))
+    return tuple(out)
+
+
+def _kernel(entries) -> tuple:
+    """Equality pattern of a tuple: entries renamed 0, 1, ... by first occurrence."""
+    seen: dict = {}
+    return tuple(seen.setdefault(e, len(seen)) for e in entries)
+
+
+def _coarsens(coarse, fine) -> bool:
+    """True iff positions equal in the kernel fine are equal in coarse."""
+    return len(set(zip(fine, coarse))) == len(set(fine))
+
+
+@lru_cache(maxsize=8)
+def _small_kernels(k: int, h: int, ell: int) -> tuple:
+    """Every kernel with fewer than ell blocks, with the ranks of all the
+    tuples that have exactly that kernel."""
+    return tuple(
+        (p, tuple(sum(map(mul, y, w)) for y in itertools.permutations(range(k), m)))
+        for m in range(1, min(ell - 1, h) + 1)
+        for p, w in _pattern_weights(k, h, m)
+        if _kernel(p) == p
+    )
+
+
 def omega_contained(rho: Relation, ell: int) -> RigidityReport:
     """Check that every small function preserves rho.
 
-    Support-local: it suffices that for every member tuple and every map
-    g on its entries with fewer than ell distinct values, the collapsed
-    tuple stays in the relation.  For ell = 2 this degenerates to the
-    diagonal being contained in rho.  The verdict field means
-    "containment holds".
+    Support-local: for every member u and every map g on its entries with
+    fewer than ell distinct values, g(u) must stay in the relation.  The
+    images g(u) are exactly the tuples whose kernel coarsens u's kernel
+    into fewer than ell blocks, so u fails iff some such kernel has a tuple
+    missing from rho; at ell = 2 that means a missing diagonal tuple.
+    That is decided once per kernel, and the first failing member in rank
+    order gets the first failing g, with values in lex order.  The verdict
+    field means "containment holds".
     """
     _require_usable(rho, ell)
-    k, h = rho.k, rho.h
-    if ell == 2:
+    k, h, mask = rho.k, rho.h, rho.mask
+    if ell == 2:  # the one small kernel is the constant one: test the diagonal
         for c in range(k):
             if not rho.contains_rank(tuple_rank((c,) * h, k)):
-                u = rho.members[0]
+                u = tuple_unrank(rho.ranks[0], h, k)
                 g = PartialUnaryFn.constant_map(k, c, set(u))
                 return RigidityReport(False, g, "omega", u)
         return RigidityReport(True)
-    for u in rho.members:
-        support = sorted(set(u))
-        for vals in itertools.product(range(k), repeat=len(support)):
-            if len(set(vals)) >= ell:
-                continue
-            g = PartialUnaryFn.from_pairs(k, zip(support, vals))
-            image = g.apply_tuple(u)
-            if image not in rho:
-                return RigidityReport(False, g, "omega", u)
+    missing = [
+        kernel
+        for kernel, ranks in _small_kernels(k, h, ell)
+        if not all(mask[r >> 3] >> (r & 7) & 1 for r in ranks)
+    ]
+    if not missing:
+        return RigidityReport(True)
+    fails: dict = {}
+    for r in rho.ranks:
+        u = tuple_unrank(r, h, k)
+        kappa = _kernel(u)
+        if kappa not in fails:
+            fails[kappa] = any(_coarsens(m, kappa) for m in missing)
+        if fails[kappa]:
+            support = sorted(set(u))
+            for vals in itertools.product(range(k), repeat=len(support)):
+                g = dict(zip(support, vals))
+                if len(set(vals)) < ell and tuple(g[e] for e in u) not in rho:
+                    f = PartialUnaryFn.from_pairs(k, g.items())
+                    return RigidityReport(False, f, "omega", u)
     return RigidityReport(True)
 
 
@@ -165,19 +218,12 @@ def orbit_closure(rho: Relation, ell: int) -> Relation:
     rho and is a fixed point for hereditarily ell-rigid relations.
     """
     _require_usable(rho, ell)
-    k, h = rho.k, rho.h
-    buf = bytearray(rho.mask)
-    for u in rho.members:
-        if image_size(u) >= ell:
-            continue
-        support = sorted(set(u))
-        positions = tuple(support.index(e) for e in u)
-        for vals in itertools.product(range(k), repeat=len(support)):
-            r = 0
-            for p in positions:
-                r = r * k + vals[p]
-            buf[r >> 3] |= 1 << (r & 7)
-    return Relation(k, h, bytes(buf))
+    low = {_kernel(u) for u in rho.members if image_size(u) < ell}
+    ranks = set(rho.ranks)
+    for kernel, tuples in _small_kernels(rho.k, rho.h, ell):
+        if any(_coarsens(kernel, kappa) for kappa in low):
+            ranks.update(tuples)
+    return Relation.from_ranks(rho.k, rho.h, ranks)
 
 
 def _report_no_one_rigid(rho: Relation) -> RigidityReport:
@@ -194,58 +240,52 @@ def _report_no_one_rigid(rho: Relation) -> RigidityReport:
     return RigidityReport(False, f, "psi", None)
 
 
-def _psi_scan(rho: Relation, ell: int) -> Optional[PartialUnaryFn]:
-    """First injective |dom| = ell function (moving a point) that preserves rho.
-
-    Assumes the omega containment check already passed, so members with
-    fewer than ell distinct entries cannot witness a violation and only
-    exact-support buckets are scanned.  Domains are visited in increasing
-    subset-rank order, value assignments lexicographically.
-    """
-    k = rho.k
-    index = rho.support_index
+def _trace_masks(rho: Relation, ell: int) -> dict:
+    """The trace of every injective ell-tuple as a bitmask, keyed by the
+    tuples in lex order: bit i is set when the i-th sorted surjective
+    pattern, composed with the tuple, is a member of rho."""
     mask = rho.mask
-    if ell == 2:
-        for dmask in subsets_colex(k, 2):
-            points = mask_bits(dmask)
-            bucket = index.get(dmask, ())
-            coeffs = [(e[2][0], e[2][1]) for e in bucket]
-            for vals in itertools.permutations(range(k), 2):
-                if vals == points:
-                    continue
-                c, d = vals
-                for a, b in coeffs:
-                    r = c * a + d * b
-                    if not mask[r >> 3] >> (r & 7) & 1:
-                        break
-                else:
-                    return PartialUnaryFn.from_pairs(k, zip(points, vals))
-        return None
-    for dmask in subsets_colex(k, ell):
-        points = mask_bits(dmask)
-        bucket = index.get(dmask, ())
-        coeffs = [e[2] for e in bucket]
-        for vals in itertools.permutations(range(k), ell):
-            if vals == points:
-                continue
-            for cs in coeffs:
-                r = 0
-                for v, c in zip(vals, cs):
-                    r += v * c
-                if not mask[r >> 3] >> (r & 7) & 1:
-                    break
-            else:
-                return PartialUnaryFn.from_pairs(k, zip(points, vals))
-    return None
+    weights = [w for _, w in _pattern_weights(rho.k, rho.h, ell)]
+    out = {}
+    for y in itertools.permutations(range(rho.k), ell):
+        m = 0
+        for bit, w in enumerate(weights):
+            r = sum(map(mul, y, w))
+            if mask[r >> 3] >> (r & 7) & 1:
+                m |= 1 << bit
+        out[y] = m
+    return out
+
+
+def comparable_masks(masks) -> set:
+    """The masks contained in, or equal to, the mask of another entry.
+
+    Masks of equal popcount are comparable only when equal, a hash test;
+    only a smaller mask needs a subset test against the larger ones.
+    """
+    by_size: dict[int, list] = {}
+    for m in masks:
+        by_size.setdefault(m.bit_count(), []).append(m)
+    out = set()
+    larger: list = []
+    for size in sorted(by_size, reverse=True):
+        group = by_size[size]
+        out.update(m for m, n in Counter(group).items() if n > 1)
+        out.update(m for m in group if any(m & ~big == 0 for big in larger))
+        larger += group
+    return out
 
 
 def is_hereditarily_ell_rigid(rho: Relation, ell: int) -> RigidityReport:
     """Decide hereditary ell-rigidity.
 
-    Checks omega containment first, then scans for an unexpected
-    preserving function among the injective domain-ell ones.  No
-    relation is hereditarily 1-rigid, and arities below ell fail through
-    the ordinary scan.
+    Checks omega containment first.  Given that, an injective function
+    x -> y with domain size ell preserves rho exactly when trace(x) is a
+    subset of trace(y), so rho is rigid iff its traces are strictly
+    incomparable.  Otherwise the failing function is the first preserving
+    one with domains in colex order and values in lex order.  No relation
+    is hereditarily 1-rigid, and arities below ell fail with all traces
+    empty.
     """
     _require_usable(rho, ell)
     if ell == 1:
@@ -253,10 +293,16 @@ def is_hereditarily_ell_rigid(rho: Relation, ell: int) -> RigidityReport:
     contained = omega_contained(rho, ell)
     if not contained.verdict:
         return contained
-    offender = _psi_scan(rho, ell)
-    if offender is not None:
-        return RigidityReport(False, offender, "psi", None)
-    return RigidityReport(True)
+    masks = _trace_masks(rho, ell)
+    comparable = comparable_masks(masks.values())
+    if not comparable:
+        return RigidityReport(True)
+    # traces are equivariant, so comparable ones include an increasing x
+    x = next(
+        x for x in map(mask_bits, subsets_colex(rho.k, ell)) if masks[x] in comparable
+    )
+    y = next(y for y, my in masks.items() if masks[x] & ~my == 0 and y != x)
+    return RigidityReport(False, f_arrow(x, y, rho.k), "psi", None)
 
 
 def brute_force_rigidity(rho: Relation, ell: int) -> bool:
@@ -303,15 +349,12 @@ class TraceMap:
 
 def trace(rho: Relation, ell: int) -> TraceMap:
     _require_usable(rho, ell)
-    k, h = rho.k, rho.h
-    patterns = sorted(beta(ell, h, range(ell))) if ell <= h else []
-    items = []
-    for x in sorted(beta(ell, ell, range(k))):
-        hits = frozenset(
-            p for p in patterns if tuple(x[i] for i in p) in rho
-        )
-        items.append((x, hits))
-    return TraceMap(ell, h, k, tuple(items))
+    patterns = [p for p, _ in _pattern_weights(rho.k, rho.h, ell)]
+    items = tuple(
+        (x, frozenset(patterns[i] for i in mask_bits(m)))
+        for x, m in _trace_masks(rho, ell).items()
+    )
+    return TraceMap(ell, rho.h, rho.k, items)
 
 
 def f_arrow(x, y, k: int) -> PartialUnaryFn:
@@ -330,10 +373,5 @@ def trace_incomparability(rho: Relation, ell: int) -> bool:
     Fails as soon as one trace is contained in (or equal to) another
     trace at a different tuple.
     """
-    tm = trace(rho, ell)
-    entries = tm.items
-    for x, tx in entries:
-        for y, ty in entries:
-            if x != y and tx <= ty:
-                return False
-    return True
+    _require_usable(rho, ell)
+    return not comparable_masks(_trace_masks(rho, ell).values())

@@ -17,6 +17,11 @@ def _write_relation(path, rho: Relation, form="tuples"):
     return str(path)
 
 
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 # -- check ---------------------------------------------------------------------
 
 
@@ -55,6 +60,26 @@ def test_check_bad_inputs_exit_two(tmp_path, capsys):
     empty = _write_relation(tmp_path / "e.json", Relation.empty(2, 2))
     assert main(["check", "--relation", empty, "--ell", "2"]) == 2
     capsys.readouterr()
+
+
+def test_check_dense_capacity_guard_exit_two(tmp_path, capsys):
+    # a 43-byte file naming a mask of 10**15 bits is refused before allocation
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"k":100000,"h":3,"tuples":[[0,0,0]]}')
+    assert main(["check", "--relation", str(huge), "--ell", "2"]) == 2
+    _assert_one_line_error(capsys)
+    # so is an arity whose k**h would itself be a huge integer
+    huge.write_text('{"k":2,"h":1000000000,"mask_hex":""}')
+    assert main(["check", "--relation", str(huge), "--ell", "2"]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_check_malformed_tuples_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for text in ('{"k":3,"h":2,"tuples":5}', '{"k":3,"h":2,"tuples":[[0,"a"]]}'):
+        bad.write_text(text)
+        assert main(["check", "--relation", str(bad), "--ell", "2"]) == 2
+        _assert_one_line_error(capsys)
 
 
 def test_check_missing_args_exit_two(capsys):
@@ -115,6 +140,18 @@ def test_construct_bound_failure_exit_two(tmp_path, capsys):
         ["construct", "--k", "2", "--ell", "1", "--h", "2", "--out", str(out_file)]
     ) == 2
     capsys.readouterr()
+
+
+def test_construct_capacity_guard_exit_two(tmp_path, capsys):
+    # k = 12455 passes the h = 5 counting bound, but its dense mask cannot
+    # be held; the guard fires before any assignment work
+    out_file = tmp_path / "rel.json"
+    code = main(
+        ["construct", "--k", "12455", "--ell", "2", "--h", "5", "--out", str(out_file)]
+    )
+    assert code == 2
+    assert not out_file.exists()
+    _assert_one_line_error(capsys)
 
 
 # -- classify ---------------------------------------------------------------------
@@ -184,6 +221,11 @@ def test_classify_capacity_guard(capsys):
     capsys.readouterr()
 
 
+def test_classify_k_below_two_exit_two(capsys):
+    assert main(["classify", "--k", "1", "--h", "3", "--ell", "1"]) == 2
+    _assert_one_line_error(capsys)
+
+
 def test_classify_jobs_env_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RIGIDREL_JOBS", "2")
     out_file = tmp_path / "c.jsonl"
@@ -230,6 +272,11 @@ def test_bounds_without_k(capsys):
     out = capsys.readouterr().out
     assert "max_k" not in out  # the closed form is specific to ell = 2
     assert "r_lower" in out
+
+
+def test_bounds_k_below_two_exit_two(capsys):
+    assert main(["bounds", "--ell", "2", "--h", "3", "--k", "1"]) == 2
+    _assert_one_line_error(capsys)
 
 
 # -- strong -----------------------------------------------------------------------

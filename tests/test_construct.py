@@ -277,6 +277,13 @@ def test_construct_ellrigid_434():
     assert not is_hereditarily_ell_rigid(rho, 2).verdict
 
 
+def test_construct_ellrigid_beyond_recursion_limit():
+    # C(20, 3) = 1140 representatives, more than the default recursion
+    # limit allows a recursive orbit search
+    rho = construct_ellrigid(20, 3, 4)
+    assert is_hereditarily_ell_rigid(rho, 3).verdict
+
+
 def test_construct_ellrigid_parameter_errors():
     with pytest.raises(ValueError):
         construct_ellrigid(4, 2, 4)  # ell = 2 has its own routine

@@ -7,12 +7,14 @@ import random
 
 import pytest
 
+from rigidrel.construct import construct_2rigid, construct_ellrigid
 from rigidrel.kernel import (
     CapacityError,
     PartialUnaryFn,
     Relation,
     all_partial_unary,
     beta,
+    beta_lt,
 )
 from rigidrel.preserve import ppol1, unary_preserves
 from rigidrel.rigidity import (
@@ -310,3 +312,67 @@ def test_incomparability_criterion_equals_rigidity_given_omega():
         if not omega_contained(rho, 2).verdict:
             continue
         assert trace_incomparability(rho, 2) == is_hereditarily_ell_rigid(rho, 2).verdict
+
+
+# -- canonical witnesses ------------------------------------------------------
+
+
+def _first_omega_failure(rho: Relation, ell: int):
+    """First member in rank order that some collapse g breaks, with the
+    first such g: values on the sorted support in lex order, fewer than
+    ell of them."""
+    for u in rho.members:
+        support = sorted(set(u))
+        for vals in itertools.product(range(rho.k), repeat=len(support)):
+            g = dict(zip(support, vals))
+            if len(set(vals)) < ell and tuple(g[e] for e in u) not in rho:
+                return PartialUnaryFn.from_pairs(rho.k, g.items()), u
+    return None
+
+
+def _assert_canonical_witness(rho: Relation, ell: int, psi: list):
+    report = is_hereditarily_ell_rigid(rho, ell)
+    omega = _first_omega_failure(rho, ell)
+    if omega is not None:
+        assert report.failing_side == "omega"
+        assert (report.failing_function, report.witness) == omega
+        return
+    first = next((f for f in psi if unary_preserves(f, rho).preserved), None)
+    if first is None:
+        assert report.verdict
+    else:
+        assert report.failing_side == "psi"
+        assert report.failing_function == first
+
+
+@pytest.mark.parametrize("k,h,ell", [(2, 3, 2), (3, 2, 2), (4, 2, 3)])
+def test_canonical_witness_exhaustive(k, h, ell):
+    psi = enumerate_psi(k, ell)
+    for bits in range(1, 2 ** (k**h)):
+        rho = Relation(k, h, bits.to_bytes((k**h + 7) // 8, "little"))
+        _assert_canonical_witness(rho, ell, psi)
+
+
+def test_canonical_witness_sampled():
+    # half of the sample contains every low-diversity tuple, so omega
+    # containment holds there and the psi side is reached
+    rng = random.Random(2015)
+    k, h, ell = 3, 3, 3
+    psi = enumerate_psi(k, ell)
+    low = beta_lt(ell, h, range(k))
+    for i in range(500):
+        rho = _random_relation(rng, k, h)
+        if i % 2:
+            rho = Relation.from_tuples(k, h, set(rho.members) | low)
+        _assert_canonical_witness(rho, ell, psi)
+
+
+@pytest.mark.parametrize("k,ell,h", [(5, 2, 3), (4, 3, 4)])
+def test_canonical_witness_one_tuple_from_a_construction(k, ell, h):
+    # toggling one tuple of a rigid relation moves the first preserving
+    # function across the whole candidate order
+    rho = construct_2rigid(k, h) if ell == 2 else construct_ellrigid(k, ell, h)
+    psi = enumerate_psi(k, ell)
+    members = set(rho.ranks)
+    for r in random.Random(k**h).sample(range(k**h), 96):
+        _assert_canonical_witness(Relation.from_ranks(k, h, members ^ {r}), ell, psi)
