@@ -38,6 +38,7 @@ from .kernel import (
 from .preserve import preserves
 from .rigidity import EmptyRelationError, is_hereditarily_ell_rigid
 from .strongrigid import (
+    PHI_MAX_N,
     NoWitnessError,
     chain_inclusion,
     delta,
@@ -259,6 +260,11 @@ def cmd_strong(args) -> int:
         n = args.n
         h = args.h if args.h is not None else n - 1
         try:
+            if n > PHI_MAX_N:
+                raise CapacityError(
+                    f"--suite phi checks delta(1, n) with 2**n - 1 members "
+                    f"and requires n <= {PHI_MAX_N}, got n={n}"
+                )
             f = phi(n)
             nontrivial = not is_trivial(f)
             below = phi_preserves_all(n, h)

@@ -11,6 +11,7 @@ from a middle layer of the pattern power set and verify the result.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -155,6 +156,22 @@ def dual_2(x_set) -> frozenset:
     return dual
 
 
+@functools.lru_cache(maxsize=None)
+def _relabellings(ell: int, h: int) -> tuple:
+    """One (perm, table) pair per permutation of the pattern alphabet, in
+    itertools order: the table maps each surjective ell-symbol pattern of
+    length h to the pattern relabelled by the inverse of perm, which is
+    the pattern the tuple reordered by perm must carry."""
+    patterns = sorted(beta(ell, h, range(ell))) if ell <= h else []
+    out = []
+    for perm in itertools.permutations(range(ell)):
+        inv = [0] * ell
+        for i, pi in enumerate(perm):
+            inv[pi] = i
+        out.append((perm, {p: tuple(inv[e] for e in p) for p in patterns}))
+    return tuple(out)
+
+
 class AbstractTrace(TraceMap):
     """A synthetic trace assignment, to be validated before use."""
 
@@ -175,19 +192,16 @@ class AbstractTrace(TraceMap):
         expected_keys = sorted(beta(ell, ell, range(k)))
         if [x for x, _ in self.items] != expected_keys:
             raise TraceError("assignment must cover exactly the injective tuples")
-        patterns = frozenset(beta(ell, h, range(ell))) if ell <= h else frozenset()
+        relabel = _relabellings(ell, h)
+        patterns = relabel[0][1].keys()  # the identity comes first
         table = self.as_dict
         for x, tx in self.items:
-            if not tx <= patterns:
+            if not patterns >= tx:
                 raise TraceError(f"trace at {x} uses non-surjective patterns")
         for x, tx in self.items:
-            for perm in itertools.permutations(range(ell)):
-                inv = [0] * ell
-                for i, pi in enumerate(perm):
-                    inv[pi] = i
+            for perm, moved in relabel:
                 xp = tuple(x[pi] for pi in perm)
-                moved = frozenset(tuple(inv[e] for e in p) for p in tx)
-                if table[xp] != moved:
+                if table[xp] != frozenset(map(moved.__getitem__, tx)):
                     raise TraceError(
                         f"not equivariant at {x} under permutation {perm}"
                     )
@@ -326,13 +340,9 @@ def construct_ellrigid(k: int, ell: int, h: int) -> Relation:
 
     assignment = {}
     for rep, x_set in chosen.items():
-        for perm in perms:
-            inv = [0] * ell
-            for i, pi in enumerate(perm):
-                inv[pi] = i
+        for perm, moved in _relabellings(ell, h):
             xp = tuple(rep[pi] for pi in perm)
-            moved = frozenset(tuple(inv[e] for e in p) for p in x_set)
-            assignment[xp] = moved | {tuple(inv[e] for e in y)}
+            assignment[xp] = frozenset(map(moved.__getitem__, x_set)) | {moved[y]}
     tr = AbstractTrace.from_dict(ell, h, k, assignment)
     if not tr.values_strictly_incomparable():
         raise ConstructionError("assigned trace sets are not an antichain")

@@ -9,6 +9,7 @@ vacuously yes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,33 +112,54 @@ def unary_preserves(f: PartialUnaryFn, rho: Relation) -> PreservationVerdict:
 def preserves(f: PartialFn, rho: Relation) -> PreservationVerdict:
     """Preservation check for an n-ary partial function.
 
-    Searches n-tuples of rho-columns depth first in rank order, pruning
-    any branch where some partial row already falls outside the prefixes
-    of dom(f).  The first violation found is therefore the
-    lexicographically least one (columns compared by rank, left to
-    right).
+    Searches n-tuples of rho-columns depth first in rank order.  After j
+    columns every row of the matrix is a prefix p, and ``reach[j][p]`` is
+    the bit-mask of the values f takes on the domain rows extending p.  A
+    branch is dropped when some row reaches no value (it leaves the
+    prefixes of dom(f)), or when every tuple of the product of the
+    reachable value sets lies in rho: no completion can then escape.
+    That escape test is memoised per mask tuple.  Pruning removes only
+    subtrees without a violation and leaves the search order alone, so
+    the first violation found is still the lexicographically least one
+    (columns compared by rank, left to right).
     """
     if f.k != rho.k:
         raise DomainMismatchError("function and relation use different base sets")
     if not f.graph:
         return PreservationVerdict(True)
-    n, h = f.n, rho.h
+    n, h, k = f.n, rho.h, rho.k
     members = rho.members
-    prefixes = tuple(
-        frozenset(args[:j] for args in f.dom) for j in range(n + 1)
-    )
     mapping = f.mapping
+    reach = tuple({} for _ in range(n + 1))
+    for args, v in f.graph:
+        for j, table in enumerate(reach):
+            p = args[:j]
+            table[p] = table.get(p, 0) | 1 << v
+    weights = tuple(k ** (h - 1 - i) for i in range(h))
+    mask = rho.mask
+    escapes: dict = {}
+
+    def can_escape(masks) -> bool:
+        hit = escapes.get(masks)
+        if hit is None:
+            choices = (
+                [v * w for v in range(k) if m >> v & 1]
+                for m, w in zip(masks, weights)
+            )
+            hit = escapes[masks] = any(
+                not mask[r >> 3] >> (r & 7) & 1
+                for r in map(sum, itertools.product(*choices))
+            )
+        return hit
 
     def search(j, rows, cols):
-        if j == n:
-            image = tuple(mapping[row] for row in rows)
-            if image not in rho:
-                return ViolationCertificate(cols, image)
-            return None
-        allowed = prefixes[j + 1]
+        if j == n:  # the last column passed with singleton masks: image escapes
+            return ViolationCertificate(cols, tuple(mapping[row] for row in rows))
+        table = reach[j + 1]
         for col in members:
-            new_rows = tuple(row + (col[i],) for i, row in enumerate(rows))
-            if all(row in allowed for row in new_rows):
+            new_rows = tuple(row + (c,) for row, c in zip(rows, col))
+            masks = tuple(table.get(row, 0) for row in new_rows)
+            if all(masks) and can_escape(masks):
                 found = search(j + 1, new_rows, cols + (col,))
                 if found is not None:
                     return found

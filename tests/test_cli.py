@@ -8,6 +8,7 @@ import pytest
 from rigidrel.cli import main
 from rigidrel.kernel import PartialFn, Relation
 from rigidrel.rigidity import is_hereditarily_ell_rigid
+from rigidrel.strongrigid import PHI_MAX_N
 
 LEQ2 = Relation.from_tuples(2, 2, [(0, 0), (0, 1), (1, 1)])
 
@@ -294,6 +295,9 @@ def test_strong_phi(capsys):
     }
     assert main(["strong", "--suite", "phi"]) == 2  # --n required
     capsys.readouterr()
+    # refused before delta(1, n) and its 2**n - 1 members are built
+    assert main(["strong", "--suite", "phi", "--n", str(PHI_MAX_N + 1), "--h", "3"]) == 2
+    _assert_one_line_error(capsys)
 
 
 def test_strong_witness(tmp_path, capsys):
@@ -315,6 +319,11 @@ def test_strong_chain_and_limit(capsys):
     assert out["holds"] is True and out["separator_arity"] == 3
     assert main(["strong", "--suite", "limit", "--arity-cap", "2"]) == 0
     assert json.loads(capsys.readouterr().out) == {"arity_cap": 2, "holds": True}
+    # an empty sweep proves nothing, so it is a usage error, not "holds"
+    assert main(["strong", "--suite", "limit", "--arity-cap", "0"]) == 2
+    _assert_one_line_error(capsys)
+    assert main(["strong", "--suite", "chain", "--h", "2", "--arity-cap", "0"]) == 2
+    _assert_one_line_error(capsys)
     assert main(["strong", "--suite", "chain"]) == 2  # --h required
     assert main(["strong", "--suite", "limit", "--arity-cap", "9"]) == 2  # guard
     capsys.readouterr()

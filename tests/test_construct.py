@@ -178,6 +178,23 @@ def test_abstract_trace_validation_catches_tampering():
         AbstractTrace.from_dict(2, 3, 5, wrong).validate()
 
 
+def test_equivariance_error_names_first_tuple_and_permutation():
+    # the tuple x reordered by perm is x[perm[0]], x[perm[1]], ...; the error
+    # names the first x in key order, then the first perm in itertools order
+    rho = construct_ellrigid(4, 3, 4)
+    table = AbstractTrace.from_trace_map(trace(rho, 3)).as_dict
+    for tampered_at, named in (
+        ((0, 1, 2), "(0, 1, 2) under permutation (0, 2, 1)"),
+        ((1, 0, 2), "(0, 1, 2) under permutation (1, 0, 2)"),
+        ((2, 3, 1), "(1, 2, 3) under permutation (1, 2, 0)"),
+    ):
+        tampered = dict(table)
+        tampered[tampered_at] = frozenset()
+        with pytest.raises(TraceError) as info:
+            AbstractTrace.from_dict(3, 4, 4, tampered).validate()
+        assert str(info.value) == f"not equivariant at {named}"
+
+
 def test_values_strictly_incomparable_detects_containment():
     items = {
         (0, 1): frozenset({(0, 1)}),

@@ -37,14 +37,16 @@ def _naive_unary(f: PartialUnaryFn, rho: Relation) -> bool:
     return True
 
 
-def _naive_preserves(f: PartialFn, rho: Relation) -> bool:
-    """All h x n matrices with member columns and rows inside dom(f)."""
+def _first_violation(f: PartialFn, rho: Relation) -> PreservationVerdict:
+    """The definition as an oracle: product() walks the column tuples in
+    lex order of column rank, so the first violation is the least one."""
     for matrix in itertools.product(rho.members, repeat=f.n):
         rows = [tuple(col[i] for col in matrix) for i in range(rho.h)]
         if all(r in f.mapping for r in rows):
-            if tuple(f.mapping[r] for r in rows) not in rho:
-                return False
-    return True
+            image = tuple(f.mapping[r] for r in rows)
+            if image not in rho:
+                return PreservationVerdict(False, ViolationCertificate(matrix, image))
+    return PreservationVerdict(True)
 
 
 # -- verdicts and certificates --------------------------------------------
@@ -129,9 +131,37 @@ def test_preserves_matches_naive_on_binary_functions():
     for rho in relations:
         for f in all_partial_fns(2, 2):
             verdict = preserves(f, rho)
-            assert verdict.preserved == _naive_preserves(f, rho), (f, rho)
+            assert verdict == _first_violation(f, rho), (f, rho)
             if not verdict.preserved:
                 assert check_certificate(verdict.certificate, f, rho)
+
+
+def test_preserves_verdict_equals_oracle_on_seeded_cases():
+    rng = random.Random(41)
+    negatives = 0
+    for k in (2, 3):
+        for n in (1, 2, 3):
+            for h in (1, 2, 3):
+                if k == 3 and n == 3 and h == 3:
+                    continue  # 19683 matrices per case: covered by smaller shapes
+                total = k**h
+                for _ in range(24):
+                    bits = rng.randrange(1, 2**total)
+                    rho = Relation(k, h, bits.to_bytes((total + 7) // 8, "little"))
+                    density = rng.choice((0.3, 0.6, 0.9))
+                    f = PartialFn.from_mapping(
+                        k,
+                        n,
+                        {
+                            args: rng.randrange(k)
+                            for args in itertools.product(range(k), repeat=n)
+                            if rng.random() < density
+                        },
+                    )
+                    verdict = preserves(f, rho)
+                    assert verdict == _first_violation(f, rho), (f, rho)
+                    negatives += not verdict.preserved
+    assert negatives >= 150  # so certificates, not only verdicts, are compared
 
 
 def test_preserves_unary_agrees_with_unary_preserves():

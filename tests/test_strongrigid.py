@@ -120,6 +120,26 @@ def test_phi_is_nontrivial_yet_preserves_all_lower_arities():
         assert not preserves(f, delta(1, n)).preserved
 
 
+def test_phi_preserves_all_lower_arities_at_five_and_six():
+    for n in (5, 6):
+        for h in (1, 2, 3):
+            assert phi_preserves_all(n, h)
+
+
+def test_phi_certificate_against_own_delta():
+    # the least violation: a zero column, then for j = 1 .. n-1 the column
+    # with ones at rows 0 and n - j, which maps onto the excluded tuple
+    for n in range(3, 9):
+        verdict = preserves(phi(n), delta(1, n))
+        assert not verdict.preserved
+        cols = verdict.certificate.columns
+        assert cols[0] == (0,) * n
+        for j in range(1, n):
+            assert cols[j] == tuple(int(i in (0, n - j)) for i in range(n))
+        assert verdict.certificate.image == (1,) + (0,) * (n - 1)
+        assert check_certificate(verdict.certificate, phi(n), delta(1, n))
+
+
 def test_phi_preserves_all_rejects_h_not_below_n():
     with pytest.raises(ValueError):
         phi_preserves_all(3, 3)
@@ -178,6 +198,8 @@ def test_chain_inclusion_small():
 def test_chain_inclusion_guard():
     with pytest.raises(CapacityError):
         chain_inclusion(2, 4)
+    with pytest.raises(ValueError):
+        chain_inclusion(2, 0)  # an empty sweep proves nothing
 
 
 def test_repeat_identification():
@@ -206,3 +228,5 @@ def test_limit_is_trivial_clone_arity_two():
 def test_limit_capacity_guard():
     with pytest.raises(CapacityError):
         limit_is_trivial_clone(4)
+    with pytest.raises(ValueError):
+        limit_is_trivial_clone(0)  # an empty sweep proves nothing
