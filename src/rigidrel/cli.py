@@ -9,14 +9,13 @@ notes go to standard error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Optional
 
 from .construct import (
     BoundError,
@@ -45,30 +44,9 @@ from .strongrigid import (
     limit_is_trivial_clone,
     phi,
     phi_preserves_all,
+    phi_sweep_size,
     witness_nontrivial,
 )
-
-
-@dataclass(frozen=True)
-class ClassificationRecord:
-    k: int
-    h: int
-    ell: int
-    relation_rank: int
-    verdict: bool
-    failing_function: Optional[dict]
-    elapsed_micros: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "h": self.h,
-            "ell": self.ell,
-            "relation_rank": self.relation_rank,
-            "verdict": self.verdict,
-            "failing_function": self.failing_function,
-            "elapsed_micros": self.elapsed_micros,
-        }
 
 
 # raised by unreadable or malformed input files (JSON and encoding errors are ValueErrors)
@@ -79,10 +57,13 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _classify_chunk(task) -> list:
+def _classify_chunk(task) -> tuple:
+    """Classify ranks start .. stop - 1; return their JSONL lines as one
+    string and the number of rigid relations among them."""
     k, h, ell, start, stop, timing = task
     nbytes = (k**h + 7) // 8
-    out = []
+    lines = []
+    rigid = 0
     for rank in range(start, stop):
         began = time.perf_counter() if timing else 0.0
         rho = Relation(k, h, rank.to_bytes(nbytes, "little"))
@@ -93,12 +74,22 @@ def _classify_chunk(task) -> list:
             if report.failing_function is None
             else report.failing_function.to_json()
         )
-        out.append(
-            ClassificationRecord(
-                k, h, ell, rank, report.verdict, fn, micros
-            ).to_json_dict()
+        rigid += report.verdict
+        lines.append(
+            _dump(
+                {
+                    "k": k,
+                    "h": h,
+                    "ell": ell,
+                    "relation_rank": rank,
+                    "verdict": report.verdict,
+                    "failing_function": fn,
+                    "elapsed_micros": micros,
+                }
+            )
+            + "\n"
         )
-    return out
+    return "".join(lines), rigid
 
 
 def cmd_check(args) -> int:
@@ -200,22 +191,24 @@ def cmd_classify(args) -> int:
         (k, h, ell, lo, min(lo + chunk, total), args.timing)
         for lo in range(start, total, chunk)
     ]
-    if jobs == 1:
-        batches = [_classify_chunk(s) for s in tasks]
-    else:
-        with Pool(jobs) as pool:
-            batches = pool.map(_classify_chunk, tasks)
-    records = [rec for batch in batches for rec in batch]
-    lines = "".join(_dump(rec) + "\n" for rec in records)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(lines)
-    else:
-        sys.stdout.write(lines)
-    rigid = sum(1 for rec in records if rec["verdict"])
+    rigid = 0
+    with contextlib.ExitStack() as stack:
+        if args.out:
+            out = stack.enter_context(open(args.out, "w", encoding="utf-8"))
+        else:
+            out = sys.stdout
+        if jobs == 1:
+            batches = map(_classify_chunk, tasks)
+        else:
+            batches = stack.enter_context(Pool(jobs)).imap(_classify_chunk, tasks)
+        # chunks arrive in rank order and are written as they arrive
+        for text, chunk_rigid in batches:
+            out.write(text)
+            rigid += chunk_rigid
+    count = len(ranks)
     csv_text = (
         "k,h,ell,total,rigid,not_rigid\n"
-        f"{k},{h},{ell},{len(records)},{rigid},{len(records) - rigid}\n"
+        f"{k},{h},{ell},{count},{rigid},{count - rigid}\n"
     )
     if args.summary:
         with open(args.summary, "w", encoding="utf-8") as fh:
@@ -224,7 +217,7 @@ def cmd_classify(args) -> int:
         sys.stdout.write(csv_text)
     else:
         sys.stderr.write(csv_text)
-    print(f"classified {len(records)} relations", file=sys.stderr)
+    print(f"classified {count} relations", file=sys.stderr)
     return 0
 
 
@@ -267,6 +260,12 @@ def cmd_strong(args) -> int:
                 )
             f = phi(n)
             nontrivial = not is_trivial(f)
+            count = phi_sweep_size(n, h)
+            print(
+                f"note: checking phi({n}) against all {count} relations "
+                f"of arity {h} on {{0, 1}}",
+                file=sys.stderr,
+            )
             below = phi_preserves_all(n, h)
             fails_own = not preserves(f, delta(1, n)).preserved
         except (ValueError, CapacityError) as exc:

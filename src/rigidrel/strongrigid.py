@@ -5,10 +5,19 @@ t ones followed by h - t zeros.  Intersecting the unary-to-h families of
 these relations yields a strictly descending chain of clones whose limit
 is exactly the trivial partial functions (projections and constants),
 while each finite stage still contains a nontrivial member.
+
+Membership is decided from column bitmasks of f's domain rows: a matrix
+breaks delta(t, h) iff an AND of t one-rows and an AND of h - t
+complemented zero-rows share no bit.  The ANDs of i rows (repeats allowed)
+grow with i and reach the AND-closure, a fixpoint, within |dom(f)| steps,
+so one pass per function finds the pairs of levels that break, and they
+answer every (t, h): f preserves every delta(t, h) at arity h iff h is
+below the least i + j over its breaking pairs (i, j).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -46,8 +55,13 @@ def excluded_tuple(t: int, h: int) -> tuple:
     return (1,) * t + (0,) * (h - t)
 
 
+@functools.lru_cache(maxsize=None)
 def delta(t: int, h: int) -> Relation:
-    """All h-tuples over {0, 1} except the excluded one; size 2**h - 1."""
+    """All h-tuples over {0, 1} except the excluded one; size 2**h - 1.
+
+    Cached: a Relation is immutable, and the sweeps replay witnesses
+    against the same few relations thousands of times.
+    """
     v = excluded_tuple(t, h)
     skip = tuple_rank(v, 2)
     return Relation.from_ranks(2, h, (r for r in range(2**h) if r != skip))
@@ -78,11 +92,9 @@ def phi(n: int) -> PartialFn:
     return PartialFn.from_mapping(2, n, rows)
 
 
-def phi_preserves_all(n: int, h: int) -> bool:
-    """Check phi(n) against every h-ary relation on {0, 1}.
-
-    There are 2**(2**h) relations, so the check is guarded to h <= 4.
-    """
+def phi_sweep_size(n: int, h: int) -> int:
+    """The number of relations phi_preserves_all(n, h) sweeps, 2**(2**h),
+    after the guards on n and h; h is capped at 4."""
     if not h < n:
         raise ValueError(f"need h < n, got h={h}, n={n}")
     if h < 1:
@@ -91,14 +103,107 @@ def phi_preserves_all(n: int, h: int) -> bool:
         raise CapacityError(
             f"phi_preserves_all sweeps 2**(2**h) relations and requires h <= 4"
         )
+    return 2 ** (2**h)
+
+
+def phi_preserves_all(n: int, h: int) -> bool:
+    """Check phi(n) against every h-ary relation on {0, 1}.
+
+    There are phi_sweep_size(n, h) = 2**(2**h) relations, so the check is
+    guarded to h <= 4.
+    """
+    count = phi_sweep_size(n, h)
     f = phi(n)
     total = 2**h
     nbytes = (total + 7) // 8
-    for m in range(2 ** total):
+    for m in range(count):
         rho = Relation(2, h, m.to_bytes(nbytes, "little"))
         if not preserves(f, rho).preserved:
             return False
     return True
+
+
+@functools.lru_cache(maxsize=4096)
+def _column_mask(args: tuple) -> int:
+    """A row over {0, 1} as a bitmask over the columns: bit j is entry j."""
+    bm = 0
+    for j, e in enumerate(args):
+        bm |= e << j
+    return bm
+
+
+def _row_masks(f: PartialFn) -> tuple:
+    """dom(f) as column bitmasks, split into the rows mapping to one and
+    those mapping to zero, each in graph order."""
+    if f.k != 2:
+        raise DomainMismatchError("delta relations live on a two-element base set")
+    ones = []
+    zeros = []
+    for args, val in f.graph:
+        (ones if val == 1 else zeros).append(_column_mask(args))
+    return ones, zeros
+
+
+def _closure_depths(rows) -> dict:
+    """Map each AND of the masks (repeats allowed) to the fewest masks
+    whose AND it is.
+
+    Repeating a factor keeps an AND, so level i of the closure, the ANDs
+    of exactly i masks, is every key of depth <= i: the levels only grow,
+    and they reach their fixpoint, the AND-closure, within len(rows) steps.
+    A breadth-first pass extends only the keys found at the last step.
+    """
+    depth = dict.fromkeys(rows, 1)
+    frontier = list(depth)
+    i = 1
+    while frontier:
+        i += 1
+        found = []
+        for a in frontier:
+            for r in rows:
+                m = a & r
+                if m not in depth:
+                    depth[m] = i
+                    found.append(m)
+        frontier = found
+    return depth
+
+
+def _break_levels(f: PartialFn) -> frozenset:
+    """The pairs (i, j) of closure levels at which f breaks a delta relation.
+
+    Bit c of an AND of one-rows, ANDed with an AND of complemented
+    zero-rows, is set iff column c of the matrix stacking those rows
+    equals the excluded tuple.  So an AND a of i one-rows and an AND b of
+    j complemented zero-rows with a & b == 0 give a matrix breaking
+    delta(t, h) whenever i <= t and j <= h - t.  The pairs depend on f
+    alone: one pair test over the two closures answers every (t, h).
+    """
+    ones, zeros = _row_masks(f)
+    full = (1 << f.n) - 1
+    side_b = _closure_depths([~bm & full for bm in zeros]).items()
+    return frozenset(
+        (i, j)
+        for a, i in _closure_depths(ones).items()
+        for b, j in side_b
+        if a & b == 0
+    )
+
+
+def _breaks(levels: frozenset, t: int, h: int) -> bool:
+    """Does some matrix break delta(t, h), given f's _break_levels?"""
+    return any(i <= t and j <= h - t for i, j in levels)
+
+
+def _in_family(levels: frozenset, h: int) -> bool:
+    """Does f, given its _break_levels, preserve every delta(t, h) with
+    1 <= t < h?
+
+    A pair (i, j) breaks delta(t, h) for some such t iff i <= t <= h - j
+    has a solution, that is iff i + j <= h; so membership is a threshold
+    in h, and a sweep over several arities builds f's pairs once.
+    """
+    return all(i + j > h for i, j in levels)
 
 
 def delta_preserves(f: PartialFn, t: int, h: int) -> PreservationVerdict:
@@ -107,46 +212,37 @@ def delta_preserves(f: PartialFn, t: int, h: int) -> PreservationVerdict:
     A violating matrix must have its image equal to the single excluded
     tuple, so rows i <= t come from f's ones and the rest from its zeros,
     and the only constraint left is that no column matches the excluded
-    tuple everywhere.  A forward pass over the set of still-matching
-    column masks decides this in O(h * 2**n * |dom|) instead of scanning
-    all |delta|**n column tuples; verdicts agree with preserves().
+    tuple everywhere.  The verdict comes from _break_levels: the AND-closure
+    levels of f's rows, which reach their fixpoint after at most |dom(f)|
+    steps.  Only a negative verdict runs a forward pass over the
+    still-matching column masks, keeping back-pointers, to pick the
+    certificate.  Verdicts agree with preserves().
     """
-    if f.k != 2:
-        raise DomainMismatchError("delta relations live on a two-element base set")
+    levels = _break_levels(f)
     v = excluded_tuple(t, h)
-    n = f.n
-    full = (1 << n) - 1
-    ones = []
-    zeros = []
-    for args, val in f.graph:
-        bm = 0
-        for j, e in enumerate(args):
-            bm |= e << j
-        (ones if val == 1 else zeros).append(bm)
-    if not ones or not zeros:
+    if not _breaks(levels, t, h):
         return PreservationVerdict(True)
-    levels = [{full: None}]
+    ones, zeros = _row_masks(f)
+    full = (1 << f.n) - 1
+    steps = [{full: None}]
     for i in range(1, h + 1):
         rows = ones if i <= t else zeros
-        prev = levels[-1]
         nxt: dict = {}
-        for state in sorted(prev):
+        for state in sorted(steps[-1]):
             for bm in rows:
                 match = bm if i <= t else ~bm & full
                 ns = state & match
                 if ns not in nxt:
                     nxt[ns] = (state, bm)
-        levels.append(nxt)
-    if 0 not in levels[-1]:
-        return PreservationVerdict(True)
+        steps.append(nxt)
     picked = []
     state = 0
     for i in range(h, 0, -1):
-        state, bm = levels[i][state]
+        state, bm = steps[i][state]
         picked.append(bm)
     picked.reverse()
     columns = tuple(
-        tuple(bm >> j & 1 for bm in picked) for j in range(n)
+        tuple(bm >> j & 1 for bm in picked) for j in range(f.n)
     )
     return PreservationVerdict(False, ViolationCertificate(columns, v))
 
@@ -203,10 +299,6 @@ def verify_witness(f: PartialFn, w: NontrivialityWitness) -> bool:
     return check_certificate(cert, f, delta(w.t, w.h))
 
 
-def _in_family(f: PartialFn, h: int) -> bool:
-    return all(delta_preserves(f, t, h).preserved for t in range(1, h))
-
-
 def chain_inclusion(h: int, arity_cap: int, dom_cap=None) -> bool:
     """Preserving the (h+1)-ary family implies preserving the h-ary one,
     swept over all partial functions on {0, 1} up to the caps, and the
@@ -221,12 +313,14 @@ def chain_inclusion(h: int, arity_cap: int, dom_cap=None) -> bool:
         for f in all_partial_fns(2, n):
             if dom_cap is not None and len(f.graph) > dom_cap:
                 continue
-            if _in_family(f, h + 1) and not _in_family(f, h):
+            levels = _break_levels(f)
+            if _in_family(levels, h + 1) and not _in_family(levels, h):
                 return False
     sep = phi(h + 1)
     if is_trivial(sep):
         return False
-    return _in_family(sep, h) and not _in_family(sep, h + 1)
+    levels = _break_levels(sep)
+    return _in_family(levels, h) and not _in_family(levels, h + 1)
 
 
 def repeat_identifies(t: int, h: int) -> bool:
@@ -258,8 +352,9 @@ def prefix_escape(h0: int) -> PartialFn:
     f = phi(h0 + 1)
     if is_trivial(f):
         raise RuntimeError("separating function unexpectedly trivial")
+    levels = _break_levels(f)
     for h in range(2, h0 + 1):
-        if not _in_family(f, h):
+        if not _in_family(levels, h):
             raise RuntimeError(f"separating function escapes the {h}-ary family")
     return f
 
@@ -281,17 +376,17 @@ def limit_is_trivial_clone(arity_cap: int) -> bool:
     h_max = 2**arity_cap
     for n in range(1, arity_cap + 1):
         for f in all_partial_fns(2, n):
+            levels = _break_levels(f)
             if is_trivial(f):
                 for h in range(2, h_max + 1):
-                    if not _in_family(f, h):
+                    if not _in_family(levels, h):
                         return False
             else:
                 w = witness_nontrivial(f)
                 if w.h > h_max or not verify_witness(f, w):
                     return False
-                if all(
-                    delta_preserves(f, m, 2 * m).preserved
-                    for m in range(1, h_max // 2 + 1)
+                if not any(
+                    _breaks(levels, m, 2 * m) for m in range(1, h_max // 2 + 1)
                 ):
                     return False
     return True

@@ -285,16 +285,23 @@ def test_bounds_k_below_two_exit_two(capsys):
 
 def test_strong_phi(capsys):
     assert main(["strong", "--suite", "phi", "--n", "3"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out == {
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
         "n": 3,
         "h": 2,
         "nontrivial": True,
         "preserves_all_below": True,
         "fails_delta_1_n": True,
     }
+    # one line naming the sweep, written before it starts
+    assert captured.err == (
+        "note: checking phi(3) against all 16 relations of arity 2 on {0, 1}\n"
+    )
     assert main(["strong", "--suite", "phi"]) == 2  # --n required
     capsys.readouterr()
+    # the guards on h run before the note
+    assert main(["strong", "--suite", "phi", "--n", "3", "--h", "3"]) == 2
+    _assert_one_line_error(capsys)
     # refused before delta(1, n) and its 2**n - 1 members are built
     assert main(["strong", "--suite", "phi", "--n", str(PHI_MAX_N + 1), "--h", "3"]) == 2
     _assert_one_line_error(capsys)

@@ -6,8 +6,11 @@ import itertools
 import pytest
 
 from rigidrel.kernel import CapacityError, PartialFn, Relation, all_partial_fns, is_trivial
-from rigidrel.preserve import check_certificate, preserves
+from rigidrel.preserve import ViolationCertificate, check_certificate, preserves
 from rigidrel.strongrigid import (
+    _break_levels,
+    _breaks,
+    _in_family,
     NoWitnessError,
     chain_inclusion,
     delta,
@@ -63,17 +66,126 @@ def test_delta_family():
 # -- delta_preserves against the generic checker -------------------------------
 
 
+# (arity, largest h): every function of that arity at every h up to the
+# largest, with the generic checker as the oracle (about 3 s in all)
+ORACLE_SIZES = ((1, 5), (2, 5), (3, 3))
+
+
 def test_delta_preserves_cross_validated():
-    for h in (2, 3):
-        for t in range(1, h):
-            rel = delta(t, h)
-            for n in (1, 2):
-                for f in all_partial_fns(2, n):
-                    fast = delta_preserves(f, t, h)
+    for n, h_top in ORACLE_SIZES:
+        for f in all_partial_fns(2, n):
+            levels = _break_levels(f)
+            for h in range(2, h_top + 1):
+                for t in range(1, h):
+                    rel = delta(t, h)
                     slow = preserves(f, rel)
+                    assert _breaks(levels, t, h) == (not slow.preserved), (f, t, h)
+                    fast = delta_preserves(f, t, h)
                     assert fast.preserved == slow.preserved, (f, t, h)
                     if not fast.preserved:
                         assert check_certificate(fast.certificate, f, rel)
+
+
+def _exact_and_sets(rows, top):
+    """sets[i]: every AND of exactly i of the rows, for i = 0 .. top,
+    built step by step without the fixpoint (sets[0] is the empty AND)."""
+    sets = [{-1}]
+    for _ in range(top):
+        sets.append({a & r for a in sets[-1] for r in rows})
+    return sets
+
+
+def test_in_family_matches_exact_and_sets():
+    # the closure levels stop at their fixpoint and _in_family is a
+    # threshold on h; this reference builds every AND set and tests every t
+    for n in (1, 2, 3):
+        full = (1 << n) - 1
+        for f in all_partial_fns(2, n):
+            masks = [sum(e << j for j, e in enumerate(args)) for args in f.dom]
+            ones = [m for m, (_, v) in zip(masks, f.graph) if v == 1]
+            zeros = [~m & full for m, (_, v) in zip(masks, f.graph) if v == 0]
+            a_sets = _exact_and_sets(ones, 8)
+            b_sets = _exact_and_sets(zeros, 8)
+            levels = _break_levels(f)
+            for h in range(2, 10):
+                member = not any(
+                    a & b == 0
+                    for t in range(1, h)
+                    for a in a_sets[t]
+                    for b in b_sets[h - t]
+                )
+                assert _in_family(levels, h) == member, (f, h)
+                per_t = not any(_breaks(levels, t, h) for t in range(1, h))
+                assert per_t == member, (f, h)
+
+
+# delta_preserves certificates as the forward pass picked them before the
+# verdict moved to the closure levels: (t, h) -> columns, None if preserved
+PINNED_CERTIFICATES = {
+    "NEG": {
+        (1, 2): ((0, 1),),
+        (1, 3): ((0, 1, 1),),
+        (2, 3): ((0, 0, 1),),
+        (1, 4): ((0, 1, 1, 1),),
+        (2, 4): ((0, 0, 1, 1),),
+        (3, 4): ((0, 0, 0, 1),),
+        (1, 5): ((0, 1, 1, 1, 1),),
+        (2, 5): ((0, 0, 1, 1, 1),),
+        (3, 5): ((0, 0, 0, 1, 1),),
+        (4, 5): ((0, 0, 0, 0, 1),),
+    },
+    "XOR": {
+        (1, 2): ((1, 1), (0, 1)),
+        (1, 3): ((1, 1, 0), (0, 1, 0)),
+        (2, 3): ((1, 0, 0), (0, 1, 0)),
+        (1, 4): ((1, 1, 0, 0), (0, 1, 0, 0)),
+        (2, 4): ((1, 0, 0, 0), (0, 1, 0, 0)),
+        (3, 4): ((1, 0, 0, 0), (0, 1, 1, 0)),
+        (1, 5): ((1, 1, 0, 0, 0), (0, 1, 0, 0, 0)),
+        (2, 5): ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)),
+        (3, 5): ((1, 0, 0, 0, 0), (0, 1, 1, 0, 0)),
+        (4, 5): ((1, 0, 0, 0, 0), (0, 1, 1, 1, 0)),
+    },
+    "phi(3)": {
+        (1, 2): None,
+        (1, 3): ((0, 0, 0), (1, 0, 1), (1, 1, 0)),
+        (2, 3): None,
+        (1, 4): ((0, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 1)),
+        (2, 4): ((0, 0, 0, 0), (1, 1, 0, 1), (1, 1, 1, 0)),
+        (3, 4): None,
+        (1, 5): ((0, 0, 0, 0, 0), (1, 0, 1, 0, 0), (1, 1, 0, 1, 1)),
+        (2, 5): ((0, 0, 0, 0, 0), (1, 1, 0, 1, 0), (1, 1, 1, 0, 1)),
+        (3, 5): ((0, 0, 0, 0, 0), (1, 1, 1, 0, 1), (1, 1, 1, 1, 0)),
+        (4, 5): None,
+    },
+    "phi(4)": {
+        (1, 2): None,
+        (1, 3): None,
+        (2, 3): None,
+        (1, 4): ((0, 0, 0, 0), (1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)),
+        (2, 4): None,
+        (3, 4): None,
+        (1, 5): ((0, 0, 0, 0, 0), (1, 0, 0, 1, 0), (1, 0, 1, 0, 0), (1, 1, 0, 0, 1)),
+        (2, 5): ((0, 0, 0, 0, 0), (1, 1, 0, 0, 1), (1, 1, 0, 1, 0), (1, 1, 1, 0, 0)),
+        (3, 5): None,
+        (4, 5): None,
+    },
+}
+
+
+def test_delta_preserves_pinned_certificates():
+    fns = {"NEG": NEG, "XOR": XOR, "phi(3)": phi(3), "phi(4)": phi(4)}
+    for name, f in fns.items():
+        for h in range(2, 6):
+            for t in range(1, h):
+                verdict = delta_preserves(f, t, h)
+                expected = PINNED_CERTIFICATES[name][t, h]
+                if expected is None:
+                    assert verdict.preserved, (name, t, h)
+                else:
+                    assert verdict.certificate == ViolationCertificate(
+                        expected, excluded_tuple(t, h)
+                    ), (name, t, h)
 
 
 def test_delta_preserves_identity_and_constants():
