@@ -20,6 +20,7 @@ from multiprocessing import Pool
 from .construct import (
     BoundError,
     ConstructionError,
+    bound_sides,
     construct_2rigid,
     construct_ellrigid,
     falling_factorial,
@@ -123,26 +124,18 @@ def cmd_check(args) -> int:
 
 def cmd_construct(args) -> int:
     k, ell, h = args.k, args.ell, args.h
+    if ell < 2:
+        print(f"error: need ell >= 2, got {ell}", file=sys.stderr)
+        return 2
     try:
-        if ell == 2:
-            rho = construct_2rigid(k, h)
-            lhs = k * (k - 1)
-            rhs = math.comb(2**h - 2, 2 ** (h - 1) - 1)
-        elif ell >= 3:
-            rho = construct_ellrigid(k, ell, h)
-            s = surjection_count(h, ell)
-            fe = math.factorial(ell)
-            lhs = falling_factorial(k, ell)
-            rhs = math.comb(s - fe, (s - fe) // 2)
-        else:
-            print(f"error: need ell >= 2, got {ell}", file=sys.stderr)
-            return 2
+        rho = construct_2rigid(k, h) if ell == 2 else construct_ellrigid(k, ell, h)
     except (BoundError, ValueError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    lhs, _, rhs = bound_sides(k, ell, h)
     payload = rho.to_json(args.format)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -193,30 +186,30 @@ def cmd_classify(args) -> int:
     ]
     rigid = 0
     with contextlib.ExitStack() as stack:
-        if args.out:
-            out = stack.enter_context(open(args.out, "w", encoding="utf-8"))
-        else:
-            out = sys.stdout
+        # open both destinations first, so a bad path fails before the sweep
+        try:
+            out, summary = [
+                stack.enter_context(open(path, "w", encoding="utf-8")) if path else None
+                for path in (args.out, args.summary)
+            ]
+        except OSError as exc:
+            print(f"error: cannot write {exc.filename}: {exc}", file=sys.stderr)
+            return 2
         if jobs == 1:
             batches = map(_classify_chunk, tasks)
         else:
             batches = stack.enter_context(Pool(jobs)).imap(_classify_chunk, tasks)
         # chunks arrive in rank order and are written as they arrive
         for text, chunk_rigid in batches:
-            out.write(text)
+            (out or sys.stdout).write(text)
             rigid += chunk_rigid
-    count = len(ranks)
-    csv_text = (
-        "k,h,ell,total,rigid,not_rigid\n"
-        f"{k},{h},{ell},{count},{rigid},{count - rigid}\n"
-    )
-    if args.summary:
-        with open(args.summary, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    elif args.out:
-        sys.stdout.write(csv_text)
-    else:
-        sys.stderr.write(csv_text)
+        count = len(ranks)
+        csv_text = (
+            "k,h,ell,total,rigid,not_rigid\n"
+            f"{k},{h},{ell},{count},{rigid},{count - rigid}\n"
+        )
+        # without a summary file the CSV goes wherever the JSONL does not
+        (summary or (sys.stdout if out else sys.stderr)).write(csv_text)
     print(f"classified {count} relations", file=sys.stderr)
     return 0
 

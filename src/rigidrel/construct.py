@@ -15,12 +15,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter, mul
 
 from .kernel import (
     CapacityError,
     Relation,
-    beta,
-    beta_lt,
+    _surjective_patterns,
     mask_bits,
     rank_count,
     subsets_colex,
@@ -28,6 +28,8 @@ from .kernel import (
 from .rigidity import (
     RigidityReport,
     TraceMap,
+    _pattern_weights,
+    _small_kernels,
     comparable_masks,
     is_hereditarily_ell_rigid,
 )
@@ -105,6 +107,17 @@ def r_bounds(ell: int, h: int) -> tuple:
     return lower, upper
 
 
+def bound_sides(k: int, ell: int, h: int) -> tuple:
+    """The counting criterion the constructors check, as (need, m, have):
+    need = k!/(k-ell)! injective ell-tuples must get distinct sets from
+    the middle layer of m patterns, which holds have = C(m, m // 2) sets.
+    The m patterns are the surjective ones, less one free orbit of ell!
+    patterns held back at ell >= 3."""
+    s = surjection_count(h, ell)
+    m = s if ell == 2 else s - math.factorial(ell)
+    return falling_factorial(k, ell), m, math.comb(m, m // 2)
+
+
 @dataclass(frozen=True)
 class IndexAntichain:
     """A family of pattern sets intended to be pairwise incomparable."""
@@ -114,7 +127,11 @@ class IndexAntichain:
     members: tuple  # frozensets of index patterns
 
     def validate_antichain(self) -> bool:
-        return _strict_antichain(self.members)
+        """No member contained in (or equal to) another, tested on bit-masks."""
+        bit: dict = {}
+        return not comparable_masks(
+            sum(bit.setdefault(p, 1 << len(bit)) for p in x) for x in self.members
+        )
 
 
 def middle_layer(ground, forbidden=()) -> IndexAntichain:
@@ -143,103 +160,123 @@ def middle_layer(ground, forbidden=()) -> IndexAntichain:
     return IndexAntichain(ell, h, members)
 
 
-def dual_2(x_set) -> frozenset:
-    """Swap the two pattern symbols in every member pattern."""
-    out = set()
-    for p in x_set:
-        if any(e not in (0, 1) for e in p):
-            raise ValueError("dual is defined for two-symbol patterns only")
-        out.add(tuple(1 - e for e in p))
-    dual = frozenset(out)
-    if len(out) % 2 == 1:
-        assert dual != frozenset(x_set), "odd-size sets are never self-dual"
-    return dual
+def _bit_map(src, width: int):
+    """The map on masks below 2**width whose image has at bit d the bit
+    src[d] of its argument, or 0 where src[d] is None.  It shuffles the
+    binary string, in which bit i of m is the character at width - i,
+    so it takes time and memory linear in the number of bits."""
+    if not src:
+        return lambda m: 0
+    pick = itemgetter(*(0 if i is None else width - i for i in reversed(src)))
+    fmt = f"0{width + 1}b"
+    return lambda m: int("".join(pick(format(m, fmt))), 2)
 
 
 @functools.lru_cache(maxsize=None)
 def _relabellings(ell: int, h: int) -> tuple:
-    """One (perm, table) pair per permutation of the pattern alphabet, in
-    itertools order: the table maps each surjective ell-symbol pattern of
-    length h to the pattern relabelled by the inverse of perm, which is
-    the pattern the tuple reordered by perm must carry."""
-    patterns = sorted(beta(ell, h, range(ell))) if ell <= h else []
+    """One (perm, move) pair per permutation of the pattern alphabet, in
+    itertools order.  Bit i of a trace mask stands for the i-th sorted
+    surjective ell-symbol pattern of length h; move sends it to the bit of
+    that pattern relabelled by the inverse of perm, which is the pattern
+    the tuple reordered by perm must carry."""
+    patterns = _surjective_patterns(h, ell)
+    index = {p: i for i, p in enumerate(patterns)}
     out = []
     for perm in itertools.permutations(range(ell)):
-        inv = [0] * ell
-        for i, pi in enumerate(perm):
-            inv[pi] = i
-        out.append((perm, {p: tuple(inv[e] for e in p) for p in patterns}))
+        # pattern p of the image comes from the pattern perm o p
+        src = [index[tuple(perm[e] for e in p)] for p in patterns]
+        out.append((perm, _bit_map(src, len(patterns))))
     return tuple(out)
 
 
-class AbstractTrace(TraceMap):
-    """A synthetic trace assignment, to be validated before use."""
+def dual_2(x_set) -> frozenset:
+    """Swap the two pattern symbols in every member pattern; the members
+    must be surjective two-symbol patterns of one length."""
+    h = len(next(iter(x_set), ()))
+    m = AbstractTrace.from_dict(2, h, 2, {(0, 1): x_set}).masks[0][1]
+    patterns = _surjective_patterns(h, 2)
+    if m >> len(patterns):
+        raise ValueError("dual is defined for two-symbol patterns only")
+    return frozenset(
+        patterns[i] for i in mask_bits(_relabellings(2, h)[1][1](m))
+    )
+
+
+@dataclass(frozen=True)
+class AbstractTrace:
+    """A synthetic trace assignment, to be validated before use: a mask
+    per injective ell-tuple, in the bit order of rigidity's trace masks
+    (bit i is the i-th sorted surjective pattern; bits past those stand
+    for patterns that are not surjective)."""
+
+    ell: int
+    h: int
+    k: int
+    masks: tuple  # (x, mask) pairs sorted by x
 
     @classmethod
     def from_dict(cls, ell: int, h: int, k: int, mapping) -> "AbstractTrace":
-        items = tuple(sorted((tuple(x), frozenset(v)) for x, v in mapping.items()))
-        return cls(ell, h, k, items)
+        """From a mapping of tuples to sets of patterns."""
+        patterns = _surjective_patterns(h, ell)
+        bit = {p: 1 << i for i, p in enumerate(patterns)}
+        foreign = 1 << len(patterns)
+        masks = sorted(
+            (tuple(x), sum({bit.get(p, foreign) for p in v}))
+            for x, v in mapping.items()
+        )
+        return cls(ell, h, k, tuple(masks))
 
     @classmethod
     def from_trace_map(cls, tm: TraceMap) -> "AbstractTrace":
-        return cls(tm.ell, tm.h, tm.k, tm.items)
+        return cls.from_dict(tm.ell, tm.h, tm.k, tm.as_dict)
 
     def validate(self) -> None:
         """Raise TraceError unless the assignment is total over the
         injective ell-tuples, draws from the surjective patterns, and is
-        equivariant under permutations of the pattern alphabet."""
+        equivariant under permutations of the pattern alphabet.  That is
+        checked at the increasing tuples, each under every permutation: the
+        relabellings compose, so any other tuple passes once the increasing
+        one it reorders, which comes before it in lex order, does."""
         ell, h, k = self.ell, self.h, self.k
-        expected_keys = sorted(beta(ell, ell, range(k)))
-        if [x for x, _ in self.items] != expected_keys:
+        if [x for x, _ in self.masks] != list(itertools.permutations(range(k), ell)):
             raise TraceError("assignment must cover exactly the injective tuples")
-        relabel = _relabellings(ell, h)
-        patterns = relabel[0][1].keys()  # the identity comes first
-        table = self.as_dict
-        for x, tx in self.items:
-            if not patterns >= tx:
+        n = len(_surjective_patterns(h, ell))
+        for x, m in self.masks:
+            if m >> n:
                 raise TraceError(f"trace at {x} uses non-surjective patterns")
-        for x, tx in self.items:
-            for perm, moved in relabel:
-                xp = tuple(x[pi] for pi in perm)
-                if table[xp] != frozenset(map(moved.__getitem__, tx)):
+        table = dict(self.masks)
+        # the identity comes first and cannot fail
+        moves = [(p, itemgetter(*p), move) for p, move in _relabellings(ell, h)[1:]]
+        for x in itertools.combinations(range(k), ell):
+            for perm, reorder, move in moves:
+                if table[reorder(x)] != move(table[x]):
                     raise TraceError(
                         f"not equivariant at {x} under permutation {perm}"
                     )
 
     def values_strictly_incomparable(self) -> bool:
         """No trace contained in (or equal to) another trace's set."""
-        return _strict_antichain([tx for _, tx in self.items])
-
-
-def _strict_antichain(sets) -> bool:
-    """No set contained in (or equal to) another, tested on bit-masks."""
-    bit: dict = {}
-    return not comparable_masks(
-        sum(bit.setdefault(p, 1 << len(bit)) for p in x) for x in sets
-    )
+        return not comparable_masks(m for _, m in self.masks)
 
 
 def rho_from_trace(tr: AbstractTrace) -> Relation:
     """Relation generated by an abstract trace: every tuple with fewer
     than ell distinct entries, plus each trace pattern composed with its
-    tuple.  Non-equivariant assignments are rejected."""
+    tuple.  Non-equivariant assignments are rejected.  A reordered tuple
+    carrying the relabelled patterns gives the same members, so only the
+    increasing tuples are composed, each member once."""
     tr.validate()
     ell, h, k = tr.ell, tr.h, tr.k
-    patterned = (tuple(x[e] for e in p) for x, tx in tr.items for p in tx)
-    return Relation.from_tuples(
-        k, h, itertools.chain(beta_lt(ell, h, range(k)), patterned)
-    )
-
-
-def _verified(rho: Relation, ell: int) -> Relation:
-    report = is_hereditarily_ell_rigid(rho, ell)
-    if not report.verdict:
-        raise ConstructionError(
-            f"constructed relation failed verification on side "
-            f"{report.failing_side}",
-            report,
-        )
-    return rho
+    weights = [w for _, w in _pattern_weights(k, h, ell)]
+    ranks = [r for _, low in _small_kernels(k, h, ell) for r in low]
+    table = dict(tr.masks)
+    for x in itertools.combinations(range(k), ell):
+        m = table[x]
+        while m:
+            low = m & -m
+            ranks.append(sum(map(mul, x, weights[low.bit_length() - 1])))
+            m ^= low
+    return Relation.from_ranks(k, h, ranks)
 
 
 def construct_2rigid(k: int, h: int) -> Relation:
@@ -253,47 +290,33 @@ def construct_2rigid(k: int, h: int) -> Relation:
     """
     if k < 2 or h < 1:
         raise ValueError("need k >= 2, h >= 1")
-    s = 2**h - 2
-    c = 2 ** (h - 1) - 1
-    if not exists_2rigid(k, h):
+    need, s, have = bound_sides(k, 2, h)
+    if need > have:
         raise BoundError(
             f"no hereditarily 2-rigid relation at k={k}, h={h}: "
-            f"k(k-1) = {k * (k - 1)} > C({s},{c}) = {math.comb(s, c)}"
+            f"k(k-1) = {need} > C({s},{s // 2}) = {have}"
         )
     rank_count(k, h)  # refuse before any work a relation too large to hold
-    patterns = sorted(beta(2, h, (0, 1)))
-    assert len(patterns) == s
-    stream = (
-        frozenset(patterns[i] for i in mask_bits(bm))
-        for bm in subsets_colex(s, c)
-    )
+    swap = _relabellings(2, h)[1][1]
+    stream = subsets_colex(s, s // 2)  # masks over the sorted patterns
     used = set()
     assignment = {}
     for a, b in itertools.combinations(range(k), 2):
-        for x_set in stream:
-            if x_set in used:
+        for m in stream:
+            if m in used:
                 continue
-            x_dual = dual_2(x_set)
-            assert x_dual not in used, "used sets stay closed under duals"
-            assignment[(a, b)] = x_set
-            assignment[(b, a)] = x_dual
-            used.add(x_set)
-            used.add(x_dual)
+            dual = swap(m)
+            assert dual not in used, "used sets stay closed under duals"
+            assignment[(a, b)] = m
+            assignment[(b, a)] = dual
+            used.add(m)
+            used.add(dual)
             break
         else:
             raise ConstructionError(
                 f"middle layer exhausted at pair ({a},{b})"
             )
-    tr = AbstractTrace.from_dict(2, h, k, assignment)
-    if not tr.values_strictly_incomparable():
-        raise ConstructionError("assigned trace sets are not an antichain")
-    return _verified(rho_from_trace(tr), 2)
-
-
-def _pattern_orbit(x_set, perms):
-    return frozenset(
-        frozenset(tuple(perm[e] for e in p) for p in x_set) for perm in perms
-    )
+    return _built(AbstractTrace(2, h, k, tuple(sorted(assignment.items()))))
 
 
 def construct_ellrigid(k: int, ell: int, h: int) -> Relation:
@@ -312,69 +335,72 @@ def construct_ellrigid(k: int, ell: int, h: int) -> Relation:
         raise ValueError(f"need ell <= k, got ell={ell}, k={k}")
     if not ell < h:
         raise BoundError(f"construction requires ell < h, got ell={ell}, h={h}")
-    s = surjection_count(h, ell)
-    fe = math.factorial(ell)
-    lower = math.comb(s - fe, (s - fe) // 2)
-    need = falling_factorial(k, ell)
-    if need > lower:
+    need, m, have = bound_sides(k, ell, h)
+    if need > have:
         raise BoundError(
             f"counting criterion fails at k={k}, ell={ell}, h={h}: "
-            f"{need} > C({s - fe},{(s - fe) // 2}) = {lower}"
+            f"{need} > C({m},{m // 2}) = {have}"
         )
     rank_count(k, h)
-    patterns = sorted(beta(ell, h, range(ell)))
-    perms = list(itertools.permutations(range(ell)))
-    y = patterns[0]
-    y_orbit = {tuple(perm[e] for e in y) for perm in perms}
-    assert len(y_orbit) == fe, "a surjective pattern has a free orbit"
-    ground = [p for p in patterns if p not in y_orbit]
-    m = len(ground)
-    c = m // 2
-
+    relabel = _relabellings(ell, h)
+    # the first pattern y (bit 0) tags the permutations; its orbit is free
+    y_orbit = {move(1) for _, move in relabel}
+    assert len(y_orbit) == len(relabel), "a surjective pattern has a free orbit"
+    n = len(_surjective_patterns(h, ell))
+    ground = [i for i in range(n) if 1 << i not in y_orbit]
+    where = dict(zip(ground, range(m)))
+    spread = _bit_map([where.get(i) for i in range(n)], m)
+    stream = map(spread, subsets_colex(m, m // 2))
     reps = list(itertools.combinations(range(k), ell))
-    stream = (
-        frozenset(ground[i] for i in mask_bits(bm))
-        for bm in subsets_colex(m, c)
-    )
-    chosen = _assign_orbit_disjoint(reps, stream, perms, fe)
-
+    chosen = _assign_orbit_disjoint(reps, stream, relabel)
     assignment = {}
-    for rep, x_set in chosen.items():
-        for perm, moved in _relabellings(ell, h):
-            xp = tuple(rep[pi] for pi in perm)
-            assignment[xp] = frozenset(map(moved.__getitem__, x_set)) | {moved[y]}
-    tr = AbstractTrace.from_dict(ell, h, k, assignment)
+    for rep, x in chosen.items():
+        for perm, move in relabel:
+            assignment[tuple(rep[pi] for pi in perm)] = move(x | 1)
+    return _built(AbstractTrace(ell, h, k, tuple(sorted(assignment.items()))))
+
+
+def _built(tr: AbstractTrace) -> Relation:
+    """The relation of a constructed trace, re-verified from its members."""
     if not tr.values_strictly_incomparable():
         raise ConstructionError("assigned trace sets are not an antichain")
-    return _verified(rho_from_trace(tr), ell)
+    rho = rho_from_trace(tr)
+    report = is_hereditarily_ell_rigid(rho, tr.ell)
+    if not report.verdict:
+        raise ConstructionError(
+            f"constructed relation failed verification on side "
+            f"{report.failing_side}",
+            report,
+        )
+    return rho
 
 
-def _assign_orbit_disjoint(reps, stream, perms, orbit_size, node_budget=200_000):
-    """Give each representative a candidate whose alphabet orbit is free
-    and disjoint from earlier choices.
+def _assign_orbit_disjoint(reps, stream, relabel, node_budget=200_000):
+    """Give each representative a candidate mask whose alphabet orbit is
+    free and disjoint from earlier choices.
 
     Greedy in stream order; the depth-first fallback only backtracks when
     the greedy pass would fail, and gives up deterministically once the
     node budget is spent.  The search keeps its own stack, so the number
     of representatives is not bounded by the recursion limit.
     """
-    candidates = []  # (set, orbit) pairs with free orbits, in stream order
+    candidates = []  # (mask, orbit) pairs with free orbits, in stream order
     pull_budget = 64 * len(reps) + 256
 
     def ensure(idx) -> bool:
         while len(candidates) <= idx:
             if len(candidates) >= pull_budget:
                 return False
-            x_set = next(stream, None)
-            if x_set is None:
+            x = next(stream, None)
+            if x is None:
                 return False
-            orbit = _pattern_orbit(x_set, perms)
-            if len(orbit) == orbit_size:
-                candidates.append((x_set, orbit))
+            orbit = {move(x) for _, move in relabel}
+            if len(orbit) == len(relabel):
+                candidates.append((x, orbit))
         return True
 
     picks: list = []  # candidate index chosen for each representative so far
-    used: list = []  # their orbits
+    taken: set = set()  # the union of their orbits, which are disjoint
     pos = 0
     nodes = 0
     while len(picks) < len(reps) and nodes < node_budget:
@@ -382,13 +408,14 @@ def _assign_orbit_disjoint(reps, stream, perms, orbit_size, node_budget=200_000)
         if not ensure(pos):
             if not picks:
                 break
-            pos = picks.pop() + 1
-            used.pop()
+            pos = picks.pop()
+            taken -= candidates[pos][1]
+            pos += 1
             continue
         orbit = candidates[pos][1]
-        if all(not (orbit & prev) for prev in used):
+        if taken.isdisjoint(orbit):
             picks.append(pos)
-            used.append(orbit)
+            taken |= orbit
         pos += 1
     if len(picks) < len(reps):
         raise ConstructionError(

@@ -271,7 +271,8 @@ def comparable_masks(masks) -> set:
     for size in sorted(by_size, reverse=True):
         group = by_size[size]
         out.update(m for m, n in Counter(group).items() if n > 1)
-        out.update(m for m in group if any(m & ~big == 0 for big in larger))
+        if larger:
+            out.update(m for m in group if any(m & ~big == 0 for big in larger))
         larger += group
     return out
 

@@ -130,6 +130,23 @@ def test_construct_ell3(tmp_path, capsys):
     assert summary["size"] == 61 and summary["verified"] is True
 
 
+def test_construct_summary_lines_pinned(tmp_path, capsys):
+    # the bound sides come from construct.bound_sides; the lines are the
+    # ones the command printed before that function existed
+    out_file = tmp_path / "rel.json"
+    for k, ell, h, fields in (
+        (5, 2, 3, '"bound_lhs":20,"bound_rhs":20,"size":35'),
+        (10, 3, 4, '"bound_lhs":720,"bound_rhs":155117520,"size":2560'),
+        (59, 2, 4, '"bound_lhs":3422,"bound_rhs":3432,"size":12036'),
+    ):
+        argv = ["construct", "--k", str(k), "--ell", str(ell), "--h", str(h)]
+        assert main(argv + ["--out", str(out_file)]) == 0
+        assert capsys.readouterr().out == (
+            f'{{"k":{k},"ell":{ell},"h":{h},{fields},"verified":true,'
+            f'"out":{json.dumps(str(out_file))}}}\n'
+        )
+
+
 def test_construct_bound_failure_exit_two(tmp_path, capsys):
     out_file = tmp_path / "rel.json"
     code = main(
@@ -214,6 +231,26 @@ def test_classify_stdout_and_summary_split(capsys):
     assert all(not r["verdict"] for r in records)  # h < ell: nothing is rigid
     assert "k,h,ell,total,rigid,not_rigid" in captured.err
     assert "2,1,2,3,0,3" in captured.err
+
+
+def test_classify_missing_directory_exit_two(tmp_path, capsys):
+    # both destinations are opened before the sweep, so a bad one fails
+    # at once with one error line and no traceback
+    missing = tmp_path / "missing"
+    good = tmp_path / "c.jsonl"
+    for extra in (
+        ["--out", str(missing / "c.jsonl")],
+        ["--summary", str(missing / "s.csv")],
+        ["--out", str(good), "--summary", str(missing / "s.csv")],
+    ):
+        code = main(["classify", "--k", "2", "--h", "2", "--ell", "2"] + extra)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+        assert captured.err.count("\n") == 1 and "classified" not in captured.err
+    assert not missing.exists()
+    assert good.read_text() == ""  # opened, but the sweep never ran
 
 
 def test_classify_capacity_guard(capsys):

@@ -1,8 +1,10 @@
 """Bounds, antichains, synthetic traces, and the two constructions."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
+import random
 
 import pytest
 
@@ -11,6 +13,7 @@ from rigidrel.construct import (
     BoundError,
     IndexAntichain,
     TraceError,
+    bound_sides,
     construct_2rigid,
     construct_ellrigid,
     dual_2,
@@ -95,6 +98,23 @@ def test_r_bounds():
         r_bounds(4, 4)  # needs ell < h
 
 
+def test_bound_sides_and_error_texts():
+    # (tuples to place, ground patterns, middle-layer sets of the ground)
+    assert bound_sides(59, 2, 4) == (3422, 14, math.comb(14, 7))
+    assert bound_sides(10, 3, 4) == (720, 30, math.comb(30, 15))
+    for build, args, text in (
+        (construct_2rigid, (60, 4),
+         "no hereditarily 2-rigid relation at k=60, h=4: k(k-1) = 3540 > C(14,7) = 3432"),
+        (construct_2rigid, (2, 1),
+         "no hereditarily 2-rigid relation at k=2, h=1: k(k-1) = 2 > C(0,0) = 1"),
+        (construct_ellrigid, (539, 3, 4),
+         "counting criterion fails at k=539, ell=3, h=4: 155720334 > C(30,15) = 155117520"),
+    ):
+        with pytest.raises(BoundError) as info:
+            build(*args)
+        assert str(info.value) == text
+
+
 # -- antichains ----------------------------------------------------------------
 
 
@@ -158,8 +178,7 @@ def test_abstract_trace_round_trip_from_real_trace():
 
 def test_abstract_trace_validation_catches_tampering():
     rho = construct_2rigid(5, 3)
-    at = AbstractTrace.from_trace_map(trace(rho, 2))
-    table = at.as_dict
+    table = trace(rho, 2).as_dict
     # breaking one value kills equivariance
     x0 = next(iter(table))
     tampered = dict(table)
@@ -178,11 +197,75 @@ def test_abstract_trace_validation_catches_tampering():
         AbstractTrace.from_dict(2, 3, 5, wrong).validate()
 
 
+def test_non_surjective_error_text():
+    table = trace(construct_2rigid(5, 3), 2).as_dict
+    wrong = dict(table)
+    wrong[(1, 3)] = table[(1, 3)] | {(1, 1, 1)}
+    with pytest.raises(TraceError) as info:
+        AbstractTrace.from_dict(2, 3, 5, wrong).validate()
+    assert str(info.value) == "trace at (1, 3) uses non-surjective patterns"
+    wrong[(0, 4)] = frozenset({(0, 1, 2)})  # a third symbol
+    with pytest.raises(TraceError) as info:
+        AbstractTrace.from_dict(2, 3, 5, wrong).validate()
+    assert str(info.value) == "trace at (0, 4) uses non-surjective patterns"
+
+
+def _naive_validate(ell, h, k, table):
+    """The first TraceError text, from the definitions on pattern sets: the
+    tuple xp composed with pattern q is x composed with p when q sends each
+    position to the place in xp of the entry x has there."""
+    if sorted(table) != sorted(itertools.permutations(range(k), ell)):
+        return "assignment must cover exactly the injective tuples"
+    surjective = beta(ell, h, range(ell))
+    for x in sorted(table):
+        if not table[x] <= surjective:
+            return f"trace at {x} uses non-surjective patterns"
+    for x in sorted(table):
+        for perm in itertools.permutations(range(ell)):
+            xp = tuple(x[pi] for pi in perm)
+            moved = {tuple(xp.index(x[e]) for e in p) for p in table[x]}
+            if table[xp] != moved:
+                return f"not equivariant at {x} under permutation {perm}"
+    return None
+
+
+def test_validate_matches_naive_scan_on_tampered_traces():
+    # random edits of real traces: the mask check must name the same first
+    # (x, perm) as a scan of every tuple under every permutation
+    rng = random.Random(5)
+    seen = set()
+    for rho, ell in ((construct_2rigid(5, 3), 2), (construct_ellrigid(4, 3, 4), 3),
+                     (construct_ellrigid(5, 3, 4), 3)):
+        table = trace(rho, ell).as_dict
+        patterns = sorted(beta(ell, rho.h, range(ell)))
+        keys = sorted(table)
+        for _ in range(120):
+            tampered = dict(table)
+            for x in rng.sample(keys, rng.randint(1, 3)):
+                p = rng.choice(patterns)
+                tampered[x] = tampered[x] ^ {p} if rng.random() < 0.8 else frozenset()
+                if rng.random() < 0.3:  # carry the edit over x's whole orbit
+                    for perm in itertools.permutations(range(ell)):
+                        xp = tuple(x[pi] for pi in perm)
+                        tampered[xp] = frozenset(
+                            tuple(xp.index(x[e]) for e in q) for q in tampered[x]
+                        )
+            want = _naive_validate(ell, rho.h, rho.k, tampered)
+            try:
+                AbstractTrace.from_dict(ell, rho.h, rho.k, tampered).validate()
+                got = None
+            except TraceError as exc:
+                got = str(exc)
+            assert got == want
+            seen.add(want is None)
+    assert seen == {True, False}
+
+
 def test_equivariance_error_names_first_tuple_and_permutation():
     # the tuple x reordered by perm is x[perm[0]], x[perm[1]], ...; the error
     # names the first x in key order, then the first perm in itertools order
     rho = construct_ellrigid(4, 3, 4)
-    table = AbstractTrace.from_trace_map(trace(rho, 3)).as_dict
+    table = trace(rho, 3).as_dict
     for tampered_at, named in (
         ((0, 1, 2), "(0, 1, 2) under permutation (0, 2, 1)"),
         ((1, 0, 2), "(0, 1, 2) under permutation (1, 0, 2)"),
@@ -193,6 +276,12 @@ def test_equivariance_error_names_first_tuple_and_permutation():
         with pytest.raises(TraceError) as info:
             AbstractTrace.from_dict(3, 4, 4, tampered).validate()
         assert str(info.value) == f"not equivariant at {named}"
+
+
+def test_rho_from_trace_round_trip_ell3():
+    for k in (4, 5):
+        rho = construct_ellrigid(k, 3, 4)
+        assert rho_from_trace(AbstractTrace.from_trace_map(trace(rho, 3))) == rho
 
 
 def test_values_strictly_incomparable_detects_containment():
@@ -308,3 +397,22 @@ def test_construct_ellrigid_parameter_errors():
         construct_ellrigid(4, 3, 3)  # needs ell < h
     with pytest.raises(ValueError):
         construct_ellrigid(2, 3, 4)  # ell > k
+
+
+# SHA-256 of Relation.mask for constructions as first published by this
+# package, before the constructors moved onto trace masks
+PINNED_MASKS = {
+    (2, 5, 3): "af92a9185b5e95807948eb5a835504c903955581aa33bb005b0092bc559b55fd",
+    (2, 10, 4): "a481e19b19197f6ce7a9e4d52f750ce50469998d97143adbe7dcbe947c0ac598",
+    (2, 59, 4): "4ba86db6a10cdaf051e5021e1f2230f58da4d38f6fab60b857c210baddc54b37",
+    (3, 4, 4): "d005cb744db04b4b39e058fb13146db6a48d3ec6a536d658330392ba1116bda7",
+    (3, 10, 4): "826a1164bba3690224f3febc497effafa902de0a0e10562c1b9e1ce3b5d83335",
+    (3, 20, 4): "7d19334eb041f47f2934685d6505a37aad77568f2859de4bc83f67e0db8c00ff",
+    (4, 6, 5): "45ee611e1c4963c07575944722a525a2fbbd86f95bc624a98700bd21d4ce0adc",
+}
+
+
+@pytest.mark.parametrize("ell,k,h", sorted(PINNED_MASKS))
+def test_constructions_match_pinned_masks(ell, k, h):
+    rho = construct_2rigid(k, h) if ell == 2 else construct_ellrigid(k, ell, h)
+    assert hashlib.sha256(rho.mask).hexdigest() == PINNED_MASKS[(ell, k, h)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import types
 
 import pytest
 
@@ -340,3 +341,16 @@ def test_partial_fn_json_round_trip():
     f = PartialFn.from_mapping(3, 2, {(0, 1): 2, (1, 1): 0})
     data = f.to_json()
     assert PartialFn.from_json(data) == f
+
+
+def test_package_all_lists_every_public_name_and_no_module():
+    import rigidrel
+
+    assert not [
+        n for n in rigidrel.__all__ if isinstance(getattr(rigidrel, n), types.ModuleType)
+    ]
+    public = {
+        n for n, v in vars(rigidrel).items()
+        if not n.startswith("_") and not isinstance(v, types.ModuleType)
+    }
+    assert sorted(rigidrel.__all__) == sorted(public)
