@@ -53,6 +53,31 @@ from .strongrigid import (
 # raised by unreadable or malformed input files (JSON and encoding errors are ValueErrors)
 _LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError)
 
+# Bounds are computed and printed below 2**MAX_BOUND_BITS only: that is at
+# most 4,215 decimal digits, inside CPython's default limit of 4,300 digits
+# on converting an int to str.
+MAX_BOUND_BITS = 14_000
+
+
+def _require_printable_bounds(ell: int, h: int, k=None) -> None:
+    """Refuse, before any bound is computed, a middle layer over more than
+    MAX_BOUND_BITS surjective patterns, or a tuple count k!/(k-ell)! that
+    could reach 2**MAX_BOUND_BITS.  At 2 <= ell <= h there are at least
+    ell! * ell**(h - ell) >= 2**(h - 1) patterns, so a large h is refused
+    before they are counted."""
+    if 2 <= ell <= h and (
+        h > MAX_BOUND_BITS.bit_length() or surjection_count(h, ell) > MAX_BOUND_BITS
+    ):
+        raise CapacityError(
+            f"bounds are computed for at most {MAX_BOUND_BITS} surjective "
+            f"patterns, and ell={ell}, h={h} has more"
+        )
+    if k is not None and ell <= k and ell * k.bit_length() > MAX_BOUND_BITS:
+        raise CapacityError(
+            f"k!/(k-ell)! for a {k.bit_length()}-bit k at ell={ell} "
+            f"may exceed 2**{MAX_BOUND_BITS}"
+        )
+
 
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
@@ -128,6 +153,7 @@ def cmd_construct(args) -> int:
         print(f"error: need ell >= 2, got {ell}", file=sys.stderr)
         return 2
     try:
+        _require_printable_bounds(ell, h, k)  # before the relation is built
         rho = construct_2rigid(k, h) if ell == 2 else construct_ellrigid(k, ell, h)
     except (BoundError, ValueError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -219,6 +245,7 @@ def cmd_bounds(args) -> int:
     if ell < 1 or h < 1 or (args.k is not None and args.k < 2):
         print("error: need ell >= 1, h >= 1 and k >= 2", file=sys.stderr)
         return 2
+    _require_printable_bounds(ell, h, args.k)
     rows = [("ell", ell), ("h", h)]
     s = surjection_count(h, ell)
     rows.append(("surjections", s))

@@ -11,7 +11,6 @@ from a middle layer of the pattern power set and verify the result.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +27,9 @@ from .kernel import (
 from .rigidity import (
     RigidityReport,
     TraceMap,
+    _bit_map,
     _pattern_weights,
+    _relabellings,
     _small_kernels,
     comparable_masks,
     is_hereditarily_ell_rigid,
@@ -60,6 +61,8 @@ def surjection_count(n: int, ell: int) -> int:
     """Number of surjections from an n-set onto an ell-set, by inclusion-exclusion."""
     if n < 1 or ell < 1:
         raise ValueError(f"need n, ell >= 1, got n={n}, ell={ell}")
+    if ell > n:
+        return 0
     return sum(
         (-1) ** (ell - j) * math.comb(ell, j) * j**n for j in range(1, ell + 1)
     )
@@ -70,15 +73,23 @@ def sperner_bound_holds(k: int, ell: int, h: int) -> bool:
     into the widest antichain over the surjective index patterns."""
     if k < 2 or ell < 1 or h < 1:
         raise ValueError("need k >= 2, ell >= 1, h >= 1")
-    s = surjection_count(h, ell)
-    return falling_factorial(k, ell) <= math.comb(s, s // 2)
+    return _fits_middle_layer(falling_factorial(k, ell), surjection_count(h, ell))
 
 
 def exists_2rigid(k: int, h: int) -> bool:
     """Exact existence criterion at ell = 2: k(k-1) <= C(2**h - 2, 2**(h-1) - 1)."""
     if k < 2 or h < 1:
         raise ValueError("need k >= 2, h >= 1")
-    return k * (k - 1) <= math.comb(2**h - 2, 2 ** (h - 1) - 1)
+    return _fits_middle_layer(k * (k - 1), 2**h - 2)
+
+
+def _fits_middle_layer(need: int, m: int) -> bool:
+    """need <= C(m, m // 2).  As 2**m / (m + 1) <= C(m, m // 2) <= 2**m,
+    bit lengths decide it unless need is within a factor m + 1 of 2**m,
+    so the binomial is only built when it is about as large as need."""
+    if need.bit_length() + (m + 1).bit_length() <= m:
+        return True
+    return need.bit_length() <= m + 1 and need <= math.comb(m, m // 2)
 
 
 def max_k_2rigid(h: int) -> int:
@@ -113,9 +124,14 @@ def bound_sides(k: int, ell: int, h: int) -> tuple:
     the middle layer of m patterns, which holds have = C(m, m // 2) sets.
     The m patterns are the surjective ones, less one free orbit of ell!
     patterns held back at ell >= 3."""
-    s = surjection_count(h, ell)
-    m = s if ell == 2 else s - math.factorial(ell)
+    m = _ground_size(ell, h)
     return falling_factorial(k, ell), m, math.comb(m, m // 2)
+
+
+def _ground_size(ell: int, h: int) -> int:
+    """The m of bound_sides."""
+    s = surjection_count(h, ell)
+    return s if ell == 2 else s - math.factorial(ell)
 
 
 @dataclass(frozen=True)
@@ -158,35 +174,6 @@ def middle_layer(ground, forbidden=()) -> IndexAntichain:
         frozenset(elems[i] for i in mask_bits(bm)) for bm in subsets_colex(m, c)
     )
     return IndexAntichain(ell, h, members)
-
-
-def _bit_map(src, width: int):
-    """The map on masks below 2**width whose image has at bit d the bit
-    src[d] of its argument, or 0 where src[d] is None.  It shuffles the
-    binary string, in which bit i of m is the character at width - i,
-    so it takes time and memory linear in the number of bits."""
-    if not src:
-        return lambda m: 0
-    pick = itemgetter(*(0 if i is None else width - i for i in reversed(src)))
-    fmt = f"0{width + 1}b"
-    return lambda m: int("".join(pick(format(m, fmt))), 2)
-
-
-@functools.lru_cache(maxsize=None)
-def _relabellings(ell: int, h: int) -> tuple:
-    """One (perm, move) pair per permutation of the pattern alphabet, in
-    itertools order.  Bit i of a trace mask stands for the i-th sorted
-    surjective ell-symbol pattern of length h; move sends it to the bit of
-    that pattern relabelled by the inverse of perm, which is the pattern
-    the tuple reordered by perm must carry."""
-    patterns = _surjective_patterns(h, ell)
-    index = {p: i for i, p in enumerate(patterns)}
-    out = []
-    for perm in itertools.permutations(range(ell)):
-        # pattern p of the image comes from the pattern perm o p
-        src = [index[tuple(perm[e] for e in p)] for p in patterns]
-        out.append((perm, _bit_map(src, len(patterns))))
-    return tuple(out)
 
 
 def dual_2(x_set) -> frozenset:
@@ -290,11 +277,11 @@ def construct_2rigid(k: int, h: int) -> Relation:
     """
     if k < 2 or h < 1:
         raise ValueError("need k >= 2, h >= 1")
-    need, s, have = bound_sides(k, 2, h)
-    if need > have:
+    need, s = falling_factorial(k, 2), _ground_size(2, h)
+    if not _fits_middle_layer(need, s):
         raise BoundError(
             f"no hereditarily 2-rigid relation at k={k}, h={h}: "
-            f"k(k-1) = {need} > C({s},{s // 2}) = {have}"
+            f"k(k-1) = {need} > C({s},{s // 2}) = {math.comb(s, s // 2)}"
         )
     rank_count(k, h)  # refuse before any work a relation too large to hold
     swap = _relabellings(2, h)[1][1]
@@ -335,11 +322,11 @@ def construct_ellrigid(k: int, ell: int, h: int) -> Relation:
         raise ValueError(f"need ell <= k, got ell={ell}, k={k}")
     if not ell < h:
         raise BoundError(f"construction requires ell < h, got ell={ell}, h={h}")
-    need, m, have = bound_sides(k, ell, h)
-    if need > have:
+    need, m = falling_factorial(k, ell), _ground_size(ell, h)
+    if not _fits_middle_layer(need, m):
         raise BoundError(
             f"counting criterion fails at k={k}, ell={ell}, h={h}: "
-            f"{need} > C({m},{m // 2}) = {have}"
+            f"{need} > C({m},{m // 2}) = {math.comb(m, m // 2)}"
         )
     rank_count(k, h)
     relabel = _relabellings(ell, h)

@@ -416,6 +416,13 @@ class PartialFn:
             raise EncodingError("graph must be sorted by argument tuple")
 
     @classmethod
+    def _trusted(cls, k: int, n: int, graph: tuple) -> "PartialFn":
+        """A function from a graph its caller built valid, unchecked."""
+        f = object.__new__(cls)
+        f.__dict__.update(k=k, n=n, graph=graph)
+        return f
+
+    @classmethod
     def from_mapping(cls, k: int, n: int, mapping) -> "PartialFn":
         items = tuple(sorted((tuple(a), v) for a, v in dict(mapping).items()))
         return cls(k, n, items)
@@ -463,7 +470,7 @@ def all_partial_fns(k: int, n: int):
         graph = tuple(
             (args, v) for args, v in zip(inputs, values) if v is not None
         )
-        yield PartialFn(k, n, graph)
+        yield PartialFn._trusted(k, n, graph)
 
 
 def is_partial_projection(f: PartialFn) -> bool:

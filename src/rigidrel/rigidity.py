@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import itemgetter, mul
 from typing import Optional
 
 from .kernel import (
@@ -22,8 +22,8 @@ from .kernel import (
     DomainMismatchError,
     PartialUnaryFn,
     Relation,
+    _surjective_patterns,
     all_partial_unary,
-    beta,
     image_size,
     mask_bits,
     subsets_colex,
@@ -135,11 +135,40 @@ def _pattern_weights(k: int, h: int, m: int) -> tuple:
     """Sorted surjective h-patterns onto range(m), each with its weights w:
     the tuple y composed with the pattern has rank sum(y[j] * w[j])."""
     out = []
-    for p in sorted(beta(m, h, range(m))):
+    for p in _surjective_patterns(h, m):
         w = [0] * m
         for i, j in enumerate(p):
             w[j] += k ** (h - 1 - i)
         out.append((p, tuple(w)))
+    return tuple(out)
+
+
+def _bit_map(src, width: int):
+    """The map on masks below 2**width whose image has at bit d the bit
+    src[d] of its argument, or 0 where src[d] is None.  It shuffles the
+    binary string, in which bit i of m is the character at width - i,
+    so it takes time and memory linear in the number of bits."""
+    if not src:
+        return lambda m: 0
+    pick = itemgetter(*(0 if i is None else width - i for i in reversed(src)))
+    fmt = f"0{width + 1}b"
+    return lambda m: int("".join(pick(format(m, fmt))), 2)
+
+
+@lru_cache(maxsize=None)
+def _relabellings(ell: int, h: int) -> tuple:
+    """One (perm, move) pair per permutation of the pattern alphabet, in
+    itertools order.  Bit i of a trace mask stands for the i-th sorted
+    surjective ell-symbol pattern of length h; move sends it to the bit of
+    that pattern relabelled by the inverse of perm, which is the pattern
+    the tuple reordered by perm must carry."""
+    patterns = _surjective_patterns(h, ell)
+    index = {p: i for i, p in enumerate(patterns)}
+    out = []
+    for perm in itertools.permutations(range(ell)):
+        # pattern p of the image comes from the pattern perm o p
+        src = [index[tuple(perm[e] for e in p)] for p in patterns]
+        out.append((perm, _bit_map(src, len(patterns))))
     return tuple(out)
 
 
@@ -183,7 +212,8 @@ def omega_contained(rho: Relation, ell: int) -> RigidityReport:
     if ell == 2:  # the one small kernel is the constant one: test the diagonal
         for c in range(k):
             if not rho.contains_rank(tuple_rank((c,) * h, k)):
-                u = tuple_unrank(rho.ranks[0], h, k)
+                i = len(mask) - len(mask.lstrip(b"\0"))  # first member: lowest set bit
+                u = tuple_unrank(8 * i + (mask[i] & -mask[i]).bit_length() - 1, h, k)
                 g = PartialUnaryFn.constant_map(k, c, set(u))
                 return RigidityReport(False, g, "omega", u)
         return RigidityReport(True)
@@ -241,19 +271,27 @@ def _report_no_one_rigid(rho: Relation) -> RigidityReport:
 
 
 def _trace_masks(rho: Relation, ell: int) -> dict:
-    """The trace of every injective ell-tuple as a bitmask, keyed by the
-    tuples in lex order: bit i is set when the i-th sorted surjective
-    pattern, composed with the tuple, is a member of rho."""
+    """The trace of every injective ell-tuple as a bitmask: bit i is set
+    when the i-th sorted surjective pattern, composed with the tuple, is a
+    member of rho.  Only the increasing tuples are probed.  Traces of any
+    relation are equivariant, so the increasing x reordered by perm
+    carries move(trace(x)), for each relabelling (perm, move).  The keys
+    are not in lex order."""
     mask = rho.mask
     weights = [w for _, w in _pattern_weights(rho.k, rho.h, ell)]
-    out = {}
-    for y in itertools.permutations(range(rho.k), ell):
+    probed = []
+    for x in itertools.combinations(range(rho.k), ell):
         m = 0
         for bit, w in enumerate(weights):
-            r = sum(map(mul, y, w))
+            r = sum(map(mul, x, w))
             if mask[r >> 3] >> (r & 7) & 1:
                 m |= 1 << bit
-        out[y] = m
+        probed.append((x, m))
+    out = dict(probed)
+    # the identity comes first and keeps the probed masks
+    for perm, move in _relabellings(ell, rho.h)[1:]:
+        reorder = itemgetter(*perm)
+        out.update((reorder(x), move(m)) for x, m in probed)
     return out
 
 
@@ -302,7 +340,8 @@ def is_hereditarily_ell_rigid(rho: Relation, ell: int) -> RigidityReport:
     x = next(
         x for x in map(mask_bits, subsets_colex(rho.k, ell)) if masks[x] in comparable
     )
-    y = next(y for y, my in masks.items() if masks[x] & ~my == 0 and y != x)
+    perms = itertools.permutations(range(rho.k), ell)  # in lex order
+    y = next(y for y in perms if masks[x] & ~masks[y] == 0 and y != x)
     return RigidityReport(False, f_arrow(x, y, rho.k), "psi", None)
 
 
@@ -353,7 +392,7 @@ def trace(rho: Relation, ell: int) -> TraceMap:
     patterns = [p for p, _ in _pattern_weights(rho.k, rho.h, ell)]
     items = tuple(
         (x, frozenset(patterns[i] for i in mask_bits(m)))
-        for x, m in _trace_masks(rho, ell).items()
+        for x, m in sorted(_trace_masks(rho, ell).items())
     )
     return TraceMap(ell, rho.h, rho.k, items)
 

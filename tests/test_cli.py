@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -315,6 +316,38 @@ def test_bounds_without_k(capsys):
 def test_bounds_k_below_two_exit_two(capsys):
     assert main(["bounds", "--ell", "2", "--h", "3", "--k", "1"]) == 2
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--ell", "2", "--h", "14"],
+        ["bounds", "--ell", "2", "--h", "24"],
+        ["bounds", "--ell", "3", "--h", "1000000"],
+        ["bounds", "--ell", "2", "--h", "4", "--k", str(2**14000)],
+        ["construct", "--k", "3", "--ell", "2", "--h", "14"],
+        ["construct", "--k", "3", "--ell", "2", "--h", "100000"],
+    ],
+)
+def test_bounds_too_large_to_print_exit_two(argv, tmp_path, capsys):
+    # refused before the binomial is built or the relation written
+    out_file = tmp_path / "rel.json"
+    if argv[0] == "construct":
+        argv = argv + ["--out", str(out_file)]
+    assert main(argv) == 2
+    _assert_one_line_error(capsys)
+    assert not out_file.exists()
+
+
+def test_bounds_largest_printed_h(capsys):
+    assert main(["bounds", "--ell", "2", "--h", "13"]) == 0
+    rows = dict(
+        line.split(",", 1) for line in capsys.readouterr().out.splitlines()[1:]
+    )
+    assert rows["middle_layer"] == str(math.comb(8190, 4095))
+    # more pattern symbols than positions: no surjection, nothing to sum
+    assert main(["bounds", "--ell", "1000000", "--h", "3"]) == 0
+    assert "surjections,0\n" in capsys.readouterr().out
 
 
 # -- strong -----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from rigidrel.construct import (
     BoundError,
     IndexAntichain,
     TraceError,
+    _fits_middle_layer,
     bound_sides,
     construct_2rigid,
     construct_ellrigid,
@@ -113,6 +114,19 @@ def test_bound_sides_and_error_texts():
         with pytest.raises(BoundError) as info:
             build(*args)
         assert str(info.value) == text
+
+
+def test_middle_layer_fit_from_bit_lengths():
+    for m in range(40):
+        have = math.comb(m, m // 2)
+        for need in {*range(70), have - 1, have, have + 1, 2**m // (m + 1), 2**m}:
+            if need >= 0:
+                assert _fits_middle_layer(need, m) == (need <= have)
+    # a ground of 2**40 patterns is decided without its binomial
+    assert exists_2rigid(3, 41)
+    assert sperner_bound_holds(10, 3, 40)
+    with pytest.raises(CapacityError):
+        construct_2rigid(3, 100000)  # the bound holds; the relation is too large
 
 
 # -- antichains ----------------------------------------------------------------

@@ -335,6 +335,10 @@ def test_all_partial_fns_census():
     assert sum(1 for _ in all_partial_fns(3, 1)) == 64
     fns = list(all_partial_fns(2, 2))
     assert len(set(fns)) == len(fns)
+    # built unchecked, they equal the fully validated functions
+    for f in itertools.chain(fns, all_partial_fns(3, 1)):
+        g = PartialFn(f.k, f.n, f.graph)
+        assert f == g and hash(f) == hash(g) and f.mapping == g.mapping
 
 
 def test_partial_fn_json_round_trip():

@@ -19,6 +19,7 @@ from rigidrel.kernel import (
 from rigidrel.preserve import ppol1, unary_preserves
 from rigidrel.rigidity import (
     EmptyRelationError,
+    _trace_masks,
     OmegaClass,
     RigidityReport,
     brute_force_rigidity,
@@ -207,6 +208,30 @@ def test_omega_contained_ell2_means_diagonal():
                 assert verify_report(rho, 2, report)
 
 
+def test_omega_witness_on_diagonal_deletions():
+    # the first missing diagonal tuple gives the constant map; the first
+    # member in rank order, also past leading zero bytes, is the witness
+    rng = random.Random(30)
+    for k, h in ((5, 3), (10, 4), (30, 4)):
+        rho = construct_2rigid(k, h)
+        for _ in range(4):
+            gone = {
+                sum(c * k**i for i in range(h)) for c in rng.sample(range(k), 2)
+            } | set(range(rng.choice((0, 9, 40))))
+            cut = Relation.from_ranks(k, h, set(rho.ranks) - gone)
+            c = next(c for c in range(k) if (c,) * h not in cut)
+            u = cut.members[0]
+            report = is_hereditarily_ell_rigid(cut, 2)
+            assert (report.failing_side, report.witness) == ("omega", u)
+            assert report.failing_function == PartialUnaryFn.constant_map(k, c, set(u))
+            assert verify_report(cut, 2, report)
+    # pinned: k = 5, h = 3 with the diagonal tuples of 0 and 3 deleted
+    cut = Relation.from_ranks(5, 3, set(construct_2rigid(5, 3).ranks) - {0, 93})
+    report = omega_contained(cut, 2)
+    assert report.witness == (0, 0, 1)
+    assert report.failing_function.table == (0, 0, None, None, None)
+
+
 def test_omega_contained_general_ell():
     # at ell = 3 a member with two distinct entries can be collapsed to
     # any 2-or-fewer-valued image; all collapses must stay inside
@@ -248,6 +273,52 @@ def _naive_trace(rho: Relation, ell: int):
             p for p in patterns if tuple(x[i] for i in p) in rho
         )
     return out
+
+
+def _probed_masks(rho: Relation, ell: int) -> dict:
+    """Every injective tuple probed directly: bit i is the i-th sorted
+    surjective pattern composed with the tuple."""
+    patterns = sorted(
+        p for p in itertools.product(range(ell), repeat=rho.h) if len(set(p)) == ell
+    )
+    return {
+        y: sum(1 << i for i, p in enumerate(patterns) if tuple(y[j] for j in p) in rho)
+        for y in itertools.permutations(range(rho.k), ell)
+    }
+
+
+def test_trace_masks_match_direct_probes():
+    # covers ell = h, ell > h (every mask 0) and ell = k
+    rng = random.Random(6)
+    for k in range(2, 7):
+        for h in range(1, 5 if k < 6 else 4):
+            for ell in range(2, min(k, 4) + 1):
+                for _ in range(3):
+                    rho = _random_relation(rng, k, h)
+                    assert _trace_masks(rho, ell) == _probed_masks(rho, ell)
+                    keys = trace(rho, ell).keys()
+                    assert keys == list(itertools.permutations(range(k), ell))
+
+
+class _CountingMask(bytes):
+    """A relation mask that counts the bytes read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("k,ell,h", [(6, 2, 3), (5, 3, 4), (4, 4, 4), (5, 4, 3)])
+def test_trace_masks_probe_only_increasing_tuples(k, ell, h):
+    rho = _random_relation(random.Random(k * ell * h), k, h)
+    mask = _CountingMask(rho.mask)
+    counted = Relation(k, h, mask)
+    mask.reads = 0
+    assert _trace_masks(counted, ell) == _probed_masks(rho, ell)
+    s = len(list(beta(ell, h, range(ell)))) if ell <= h else 0
+    assert mask.reads == math.comb(k, ell) * s
 
 
 def test_trace_of_leq():
