@@ -14,51 +14,49 @@ from .kernel import (
     CapacityError, DomainMismatchError, EncodingError, PartialFn,
     PartialUnaryFn, Relation, all_partial_fns, all_partial_unary, beta,
     beta_lt, image_size, is_partial_constant, is_partial_projection,
-    is_trivial, subfunction_of, tuple_rank, tuple_unrank,
+    is_trivial, tuple_rank, tuple_unrank,
 )
 from .preserve import (
     PreservationVerdict, ViolationCertificate, check_certificate, ppol1,
     preserves, unary_preserves,
 )
 from .rigidity import (
-    EmptyRelationError, OmegaClass, RigidityReport, TraceMap,
+    EmptyRelationError, RigidityReport, TraceMap,
     brute_force_rigidity, enumerate_psi, f_arrow, is_hereditarily_ell_rigid,
     omega_contained, omega_member, orbit_closure, trace,
     trace_incomparability, verify_report,
 )
 from .construct import (
-    AbstractTrace, BoundError, ConstructionError, IndexAntichain,
-    TraceError, bound_sides, construct_2rigid, construct_ellrigid, dual_2,
-    exists_2rigid, falling_factorial, max_k_2rigid, middle_layer, r_bounds,
-    rho_from_trace, sperner_bound_holds, surjection_count,
+    AbstractTrace, BoundError, ConstructionError, TraceError, bound_sides,
+    construct_2rigid, construct_ellrigid, dual_2, exists_2rigid,
+    falling_factorial, max_k_2rigid, r_bounds, rho_from_trace,
+    sperner_bound_holds, surjection_count,
 )
 from .strongrigid import (
     NontrivialityWitness, NoWitnessError, chain_inclusion, delta,
-    delta_family, delta_preserves, excluded_tuple, limit_is_trivial_clone,
-    phi, phi_preserves_all, prefix_escape, repeat_identifies,
-    verify_witness, witness_nontrivial,
+    delta_preserves, excluded_tuple, limit_is_trivial_clone, phi,
+    phi_preserves_all, prefix_escape, repeat_identifies, verify_witness,
+    witness_nontrivial,
 )
 
 __all__ = [
     "CapacityError", "DomainMismatchError", "EncodingError", "PartialFn",
     "PartialUnaryFn", "Relation", "all_partial_fns", "all_partial_unary",
     "beta", "beta_lt", "image_size", "is_partial_constant",
-    "is_partial_projection", "is_trivial", "subfunction_of", "tuple_rank",
-    "tuple_unrank",
+    "is_partial_projection", "is_trivial", "tuple_rank", "tuple_unrank",
     "PreservationVerdict", "ViolationCertificate", "check_certificate",
     "ppol1", "preserves", "unary_preserves",
-    "EmptyRelationError", "OmegaClass", "RigidityReport", "TraceMap",
+    "EmptyRelationError", "RigidityReport", "TraceMap",
     "brute_force_rigidity", "enumerate_psi", "f_arrow",
     "is_hereditarily_ell_rigid", "omega_contained", "omega_member",
     "orbit_closure", "trace", "trace_incomparability", "verify_report",
-    "AbstractTrace", "BoundError", "ConstructionError", "IndexAntichain",
-    "TraceError", "bound_sides", "construct_2rigid", "construct_ellrigid",
-    "dual_2", "exists_2rigid", "falling_factorial", "max_k_2rigid",
-    "middle_layer", "r_bounds", "rho_from_trace", "sperner_bound_holds",
-    "surjection_count",
+    "AbstractTrace", "BoundError", "ConstructionError", "TraceError",
+    "bound_sides", "construct_2rigid", "construct_ellrigid", "dual_2",
+    "exists_2rigid", "falling_factorial", "max_k_2rigid", "r_bounds",
+    "rho_from_trace", "sperner_bound_holds", "surjection_count",
     "NontrivialityWitness", "NoWitnessError", "chain_inclusion", "delta",
-    "delta_family", "delta_preserves", "excluded_tuple",
-    "limit_is_trivial_clone", "phi", "phi_preserves_all", "prefix_escape",
-    "repeat_identifies", "verify_witness", "witness_nontrivial",
+    "delta_preserves", "excluded_tuple", "limit_is_trivial_clone", "phi",
+    "phi_preserves_all", "prefix_escape", "repeat_identifies",
+    "verify_witness", "witness_nontrivial",
 ]
 __version__ = "0.1.0"

@@ -18,8 +18,8 @@ import time
 from multiprocessing import Pool
 
 from .construct import (
-    BoundError,
     ConstructionError,
+    _require_printable_bounds,
     bound_sides,
     construct_2rigid,
     construct_ellrigid,
@@ -35,48 +35,22 @@ from .kernel import (
     Relation,
     is_trivial,
 )
-from .preserve import preserves
-from .rigidity import EmptyRelationError, is_hereditarily_ell_rigid
+from .rigidity import is_hereditarily_ell_rigid
 from .strongrigid import (
     PHI_MAX_N,
     NoWitnessError,
     chain_inclusion,
-    delta,
+    delta_preserves,
     limit_is_trivial_clone,
     phi,
     phi_preserves_all,
-    phi_sweep_size,
     witness_nontrivial,
 )
 
 
-# raised by unreadable or malformed input files (JSON and encoding errors are ValueErrors)
-_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError)
-
-# Bounds are computed and printed below 2**MAX_BOUND_BITS only: that is at
-# most 4,215 decimal digits, inside CPython's default limit of 4,300 digits
-# on converting an int to str.
-MAX_BOUND_BITS = 14_000
-
-
-def _require_printable_bounds(ell: int, h: int, k=None) -> None:
-    """Refuse, before any bound is computed, a middle layer over more than
-    MAX_BOUND_BITS surjective patterns, or a tuple count k!/(k-ell)! that
-    could reach 2**MAX_BOUND_BITS.  At 2 <= ell <= h there are at least
-    ell! * ell**(h - ell) >= 2**(h - 1) patterns, so a large h is refused
-    before they are counted."""
-    if 2 <= ell <= h and (
-        h > MAX_BOUND_BITS.bit_length() or surjection_count(h, ell) > MAX_BOUND_BITS
-    ):
-        raise CapacityError(
-            f"bounds are computed for at most {MAX_BOUND_BITS} surjective "
-            f"patterns, and ell={ell}, h={h} has more"
-        )
-    if k is not None and ell <= k and ell * k.bit_length() > MAX_BOUND_BITS:
-        raise CapacityError(
-            f"k!/(k-ell)! for a {k.bit_length()}-bit k at ell={ell} "
-            f"may exceed 2**{MAX_BOUND_BITS}"
-        )
+# raised by unreadable or malformed input files (JSON and encoding errors are
+# ValueErrors; int() of a JSON number too large for a float is an OverflowError)
+_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, OverflowError)
 
 
 def _dump(obj) -> str:
@@ -125,11 +99,7 @@ def cmd_check(args) -> int:
     except _LOAD_ERRORS as exc:
         print(f"error: cannot load relation: {exc}", file=sys.stderr)
         return 2
-    try:
-        report = is_hereditarily_ell_rigid(rho, args.ell)
-    except (EmptyRelationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = is_hereditarily_ell_rigid(rho, args.ell)
     out = {
         "k": rho.k,
         "h": rho.h,
@@ -152,12 +122,9 @@ def cmd_construct(args) -> int:
     if ell < 2:
         print(f"error: need ell >= 2, got {ell}", file=sys.stderr)
         return 2
+    _require_printable_bounds(ell, h, k)  # before the relation is built
     try:
-        _require_printable_bounds(ell, h, k)  # before the relation is built
         rho = construct_2rigid(k, h) if ell == 2 else construct_ellrigid(k, ell, h)
-    except (BoundError, ValueError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -188,7 +155,7 @@ def cmd_construct(args) -> int:
 
 def cmd_classify(args) -> int:
     k, h, ell = args.k, args.h, args.ell
-    if k < 2 or h < 1 or k**h > 16:
+    if k < 2 or h < 1 or h > 4 or k**h > 16:  # as k >= 2, h > 4 alone tells
         print(
             f"error: classify sweeps 2**(k**h) relations and requires "
             f"k >= 2, h >= 1 and k**h <= 16, got k={k}, h={h}",
@@ -221,10 +188,12 @@ def cmd_classify(args) -> int:
         except OSError as exc:
             print(f"error: cannot write {exc.filename}: {exc}", file=sys.stderr)
             return 2
-        if jobs == 1:
+        # the chunks follow --jobs, so the output does not depend on the pool
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        if workers <= 1:
             batches = map(_classify_chunk, tasks)
         else:
-            batches = stack.enter_context(Pool(jobs)).imap(_classify_chunk, tasks)
+            batches = stack.enter_context(Pool(workers)).imap(_classify_chunk, tasks)
         # chunks arrive in rank order and are written as they arrive
         for text, chunk_rigid in batches:
             (out or sys.stdout).write(text)
@@ -269,28 +238,24 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_strong(args) -> int:
+    # the option each suite cannot run without, as (dest, flag)
+    needs = {"phi": ("n", "--n"), "witness": ("fn_file", "--fn-file"), "chain": ("h", "--h")}
+    dest, flag = needs.get(args.suite, (None, None))
+    if dest is not None and getattr(args, dest) is None:
+        print(f"error: --suite {args.suite} requires {flag}", file=sys.stderr)
+        return 2
     if args.suite == "phi":
         n = args.n
         h = args.h if args.h is not None else n - 1
-        try:
-            if n > PHI_MAX_N:
-                raise CapacityError(
-                    f"--suite phi checks delta(1, n) with 2**n - 1 members "
-                    f"and requires n <= {PHI_MAX_N}, got n={n}"
-                )
-            f = phi(n)
-            nontrivial = not is_trivial(f)
-            count = phi_sweep_size(n, h)
-            print(
-                f"note: checking phi({n}) against all {count} relations "
-                f"of arity {h} on {{0, 1}}",
-                file=sys.stderr,
+        if n > PHI_MAX_N:
+            raise CapacityError(
+                f"--suite phi checks delta(1, n) with 2**n - 1 members "
+                f"and requires n <= {PHI_MAX_N}, got n={n}"
             )
-            below = phi_preserves_all(n, h)
-            fails_own = not preserves(f, delta(1, n)).preserved
-        except (ValueError, CapacityError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        f = phi(n)
+        nontrivial = not is_trivial(f)
+        below = phi_preserves_all(n, h)
+        fails_own = not delta_preserves(f, 1, n).preserved
         print(
             _dump(
                 {
@@ -318,11 +283,7 @@ def cmd_strong(args) -> int:
         print(_dump(w.to_json()))
         return 0
     if args.suite == "chain":
-        try:
-            holds = chain_inclusion(args.h, args.arity_cap, args.dom_cap)
-        except (ValueError, CapacityError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        holds = chain_inclusion(args.h, args.arity_cap, args.dom_cap)
         print(
             _dump(
                 {
@@ -335,16 +296,9 @@ def cmd_strong(args) -> int:
             )
         )
         return 0 if holds else 1
-    if args.suite == "limit":
-        try:
-            holds = limit_is_trivial_clone(args.arity_cap)
-        except (ValueError, CapacityError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(_dump({"arity_cap": args.arity_cap, "holds": holds}))
-        return 0 if holds else 1
-    print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-    return 2
+    holds = limit_is_trivial_clone(args.arity_cap)
+    print(_dump({"arity_cap": args.arity_cap, "holds": holds}))
+    return 0 if holds else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,18 +365,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    if args.command == "strong" and args.suite == "phi" and args.n is None:
-        print("error: --suite phi requires --n", file=sys.stderr)
-        return 2
-    if args.command == "strong" and args.suite == "witness" and args.fn_file is None:
-        print("error: --suite witness requires --fn-file", file=sys.stderr)
-        return 2
-    if args.command == "strong" and args.suite == "chain" and args.h is None:
-        print("error: --suite chain requires --h", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
-    except CapacityError as exc:
+    except (ValueError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,6 +52,32 @@ class ConstructionError(RuntimeError):
         self.report = report
 
 
+# Bounds are computed and printed below 2**MAX_BOUND_BITS only: that is at
+# most 4,215 decimal digits, inside CPython's default limit of 4,300 digits
+# on converting an int to str.
+MAX_BOUND_BITS = 14_000
+
+
+def _require_printable_bounds(ell: int, h: int, k=None) -> None:
+    """Refuse, before any bound is computed, a middle layer over more than
+    MAX_BOUND_BITS surjective patterns, or a tuple count k!/(k-ell)! that
+    could reach 2**MAX_BOUND_BITS.  At 2 <= ell <= h there are at least
+    ell! * ell**(h - ell) >= 2**(h - 1) patterns, so a large h is refused
+    before they are counted."""
+    if 2 <= ell <= h and (
+        h > MAX_BOUND_BITS.bit_length() or surjection_count(h, ell) > MAX_BOUND_BITS
+    ):
+        raise CapacityError(
+            f"bounds are computed for at most {MAX_BOUND_BITS} surjective "
+            f"patterns, and ell={ell}, h={h} has more"
+        )
+    if k is not None and ell <= k and ell * k.bit_length() > MAX_BOUND_BITS:
+        raise CapacityError(
+            f"k!/(k-ell)! for a {k.bit_length()}-bit k at ell={ell} "
+            f"may exceed 2**{MAX_BOUND_BITS}"
+        )
+
+
 def falling_factorial(n: int, r: int) -> int:
     """n (n-1) ... (n-r+1); zero when r exceeds n."""
     return math.perm(n, r)
@@ -97,6 +123,7 @@ def max_k_2rigid(h: int) -> int:
     or 0 when none exists."""
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
+    _require_printable_bounds(2, h)
     bound = math.comb(2**h - 2, 2 ** (h - 1) - 1)
     k = (1 + math.isqrt(1 + 4 * bound)) // 2
     while k * (k - 1) > bound:
@@ -111,6 +138,7 @@ def r_bounds(ell: int, h: int) -> tuple:
         raise ValueError(f"need ell >= 2, got {ell}")
     if not ell < h:
         raise ValueError(f"need ell < h, got ell={ell}, h={h}")
+    _require_printable_bounds(ell, h)
     s = surjection_count(h, ell)
     fe = math.factorial(ell)
     lower = math.comb(s - fe, (s - fe) // 2)
@@ -132,48 +160,6 @@ def _ground_size(ell: int, h: int) -> int:
     """The m of bound_sides."""
     s = surjection_count(h, ell)
     return s if ell == 2 else s - math.factorial(ell)
-
-
-@dataclass(frozen=True)
-class IndexAntichain:
-    """A family of pattern sets intended to be pairwise incomparable."""
-
-    ell: int
-    h: int
-    members: tuple  # frozensets of index patterns
-
-    def validate_antichain(self) -> bool:
-        """No member contained in (or equal to) another, tested on bit-masks."""
-        bit: dict = {}
-        return not comparable_masks(
-            sum(bit.setdefault(p, 1 << len(bit)) for p in x) for x in self.members
-        )
-
-
-def middle_layer(ground, forbidden=()) -> IndexAntichain:
-    """All floor(m/2)-subsets of ground minus forbidden, in colex order of
-    the sorted-ground index masks.  An empty remaining ground yields no
-    members.  Materializes the layer, so it is guarded in size."""
-    forbidden = set(forbidden)
-    ground = set(ground)
-    if not forbidden <= ground:
-        raise ValueError("forbidden elements must come from the ground set")
-    elems = sorted(ground - forbidden)
-    m = len(elems)
-    if m == 0:
-        return IndexAntichain(0, 0, ())
-    first = next(iter(elems))
-    h = len(first)
-    ell = max(max(p) for p in elems) + 1
-    c = m // 2
-    if math.comb(m, c) > 5_000_000:
-        raise CapacityError(
-            f"middle_layer materializes C({m},{c}) sets; guard is 5e6"
-        )
-    members = tuple(
-        frozenset(elems[i] for i in mask_bits(bm)) for bm in subsets_colex(m, c)
-    )
-    return IndexAntichain(ell, h, members)
 
 
 def dual_2(x_set) -> frozenset:

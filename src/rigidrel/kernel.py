@@ -360,15 +360,6 @@ class PartialUnaryFn:
             tuple(v if x in keep else None for x, v in enumerate(self.table)),
         )
 
-    def compose(self, other: "PartialUnaryFn") -> "PartialUnaryFn":
-        """self after other: defined where other lands inside self's domain."""
-        if self.k != other.k:
-            raise DomainMismatchError("composition needs a common base set")
-        table = []
-        for v in other.table:
-            table.append(None if v is None else self.table[v])
-        return PartialUnaryFn(self.k, tuple(table))
-
     def as_partial_fn(self) -> "PartialFn":
         return PartialFn.from_mapping(
             self.k, 1, {(x,): v for x, v in enumerate(self.table) if v is not None}
@@ -494,11 +485,3 @@ def is_partial_constant(f: PartialFn) -> bool:
 def is_trivial(f: PartialFn) -> bool:
     """Partial projection or partial constant."""
     return is_partial_constant(f) or is_partial_projection(f)
-
-
-def subfunction_of(f: PartialFn, g: PartialFn) -> bool:
-    """True iff dom(f) is contained in dom(g) and they agree there."""
-    if f.k != g.k or f.n != g.n:
-        raise DomainMismatchError("subfunction test needs matching k and arity")
-    gm = g.mapping
-    return all(args in gm and gm[args] == v for args, v in f.graph)

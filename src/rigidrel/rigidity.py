@@ -19,7 +19,6 @@ from typing import Optional
 
 from .kernel import (
     CapacityError,
-    DomainMismatchError,
     PartialUnaryFn,
     Relation,
     _surjective_patterns,
@@ -44,28 +43,11 @@ def _require_usable(rho: Relation, ell: int) -> None:
         raise ValueError(f"need 1 <= ell <= k, got ell={ell}, k={rho.k}")
 
 
-@dataclass(frozen=True)
-class OmegaClass:
-    """Unary partial functions below the identity or with small image."""
-
-    k: int
-    ell: int
-
-    def __post_init__(self):
-        if not 1 <= self.ell <= self.k:
-            raise ValueError(f"need 1 <= ell <= k, got ell={self.ell}, k={self.k}")
-
-    def member(self, f: PartialUnaryFn) -> bool:
-        if f.k != self.k:
-            raise DomainMismatchError("function lives on a different base set")
-        return f.below_identity or len(f.img) < self.ell
-
-    def __contains__(self, f: PartialUnaryFn) -> bool:
-        return self.member(f)
-
-
 def omega_member(f: PartialUnaryFn, ell: int) -> bool:
-    return OmegaClass(f.k, ell).member(f)
+    """Is f below the identity or of image size below ell?"""
+    if not 1 <= ell <= f.k:
+        raise ValueError(f"need 1 <= ell <= k, got ell={ell}, k={f.k}")
+    return f.below_identity or len(f.img) < ell
 
 
 def enumerate_psi(k: int, ell: int):

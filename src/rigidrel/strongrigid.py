@@ -12,7 +12,9 @@ complemented zero-rows share no bit.  The ANDs of i rows (repeats allowed)
 grow with i and reach the AND-closure, a fixpoint, within |dom(f)| steps,
 so one pass per function finds the pairs of levels that break, and they
 answer every (t, h): f preserves every delta(t, h) at arity h iff h is
-below the least i + j over its breaking pairs (i, j).
+below the least i + j over its breaking pairs (i, j).  One closure over
+the rows' agreement masks likewise decides whether f preserves every
+relation of arity h (_agreement_depth).
 """
 
 from __future__ import annotations
@@ -34,13 +36,13 @@ from .preserve import (
     PreservationVerdict,
     ViolationCertificate,
     check_certificate,
-    preserves,
 )
 
 
-# Largest n for which the phi suite checks phi(n) against delta(1, n): the
-# relation has 2**n - 1 members and the search scans them at each of n
-# depths: 1.3-1.6 s at n = 14, 3.4-4.3 s at n = 15 (CPython 3.11, 2 vCPU).
+# Largest n for which phi(n) is checked, by the phi suite and as the chain's
+# separator: each check builds an AND-closure over phi(n)'s n rows, which
+# has at most 2**n keys.  The phi suite takes about 0.2 s at n = 14 and
+# doubles with each n (CPython 3.11, 2 vCPU).
 PHI_MAX_N = 14
 
 
@@ -67,13 +69,6 @@ def delta(t: int, h: int) -> Relation:
     return Relation.from_ranks(2, h, (r for r in range(2**h) if r != skip))
 
 
-def delta_family(h: int):
-    """The h-ary family: delta(t, h) for t = 1 .. h-1."""
-    if h < 2:
-        raise ValueError(f"need h >= 2, got {h}")
-    return [delta(t, h) for t in range(1, h)]
-
-
 def phi(n: int) -> PartialFn:
     """The n-ary separating function, defined on n inputs.
 
@@ -92,35 +87,17 @@ def phi(n: int) -> PartialFn:
     return PartialFn.from_mapping(2, n, rows)
 
 
-def phi_sweep_size(n: int, h: int) -> int:
-    """The number of relations phi_preserves_all(n, h) sweeps, 2**(2**h),
-    after the guards on n and h; h is capped at 4."""
+def phi_preserves_all(n: int, h: int) -> bool:
+    """Does phi(n) preserve every h-ary relation on {0, 1}?
+
+    It does iff h < d(phi(n)) (see _agreement_depth), so one AND-closure
+    over phi(n)'s n rows answers every h; d(phi(n)) = n.
+    """
     if not h < n:
         raise ValueError(f"need h < n, got h={h}, n={n}")
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
-    if h > 4:
-        raise CapacityError(
-            f"phi_preserves_all sweeps 2**(2**h) relations and requires h <= 4"
-        )
-    return 2 ** (2**h)
-
-
-def phi_preserves_all(n: int, h: int) -> bool:
-    """Check phi(n) against every h-ary relation on {0, 1}.
-
-    There are phi_sweep_size(n, h) = 2**(2**h) relations, so the check is
-    guarded to h <= 4.
-    """
-    count = phi_sweep_size(n, h)
-    f = phi(n)
-    total = 2**h
-    nbytes = (total + 7) // 8
-    for m in range(count):
-        rho = Relation(2, h, m.to_bytes(nbytes, "little"))
-        if not preserves(f, rho).preserved:
-            return False
-    return True
+    return h < _agreement_depth(phi(n))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -167,6 +144,22 @@ def _closure_depths(rows) -> dict:
                     found.append(m)
         frontier = found
     return depth
+
+
+def _agreement_depth(f: PartialFn):
+    """d(f): the fewest rows of dom(f), repeats allowed, whose agreement
+    masks AND to 0, or None when no rows do (f is a partial projection).
+
+    Bit i of row r's agreement mask is set iff r[i] = f(r).  By the Pol-Inv
+    Galois connection for partial functions, f preserves every h-ary
+    relation iff h < d(f): any h rows then share a coordinate that f
+    copies, so the image column is a column of the matrix; and d rows
+    with no such coordinate, padded with repeats to h rows, have as their
+    columns a relation that f breaks.
+    """
+    ones, zeros = _row_masks(f)
+    full = (1 << f.n) - 1
+    return _closure_depths(ones + [~bm & full for bm in zeros]).get(0)
 
 
 def _break_levels(f: PartialFn) -> frozenset:
@@ -309,6 +302,10 @@ def chain_inclusion(h: int, arity_cap: int, dom_cap=None) -> bool:
         raise ValueError(f"need arity_cap >= 1, got {arity_cap}")
     if arity_cap > 3:
         raise CapacityError("chain_inclusion sweeps 3**(2**n) functions, arity_cap <= 3")
+    if h >= PHI_MAX_N:
+        raise CapacityError(
+            f"chain_inclusion separates with phi(h + 1) and requires h < {PHI_MAX_N}"
+        )
     for n in range(1, arity_cap + 1):
         for f in all_partial_fns(2, n):
             if dom_cap is not None and len(f.graph) > dom_cap:

@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
 
+from rigidrel import cli
 from rigidrel.cli import main
 from rigidrel.kernel import PartialFn, Relation
 from rigidrel.rigidity import is_hereditarily_ell_rigid
@@ -363,13 +365,20 @@ def test_strong_phi(capsys):
         "preserves_all_below": True,
         "fails_delta_1_n": True,
     }
-    # one line naming the sweep, written before it starts
-    assert captured.err == (
-        "note: checking phi(3) against all 16 relations of arity 2 on {0, 1}\n"
-    )
+    assert captured.err == ""
+    # every arity below 14 at once, from one AND-closure
+    assert main(["strong", "--suite", "phi", "--n", "14", "--h", "13"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "n": 14,
+        "h": 13,
+        "nontrivial": True,
+        "preserves_all_below": True,
+        "fails_delta_1_n": True,
+    }
+    assert captured.err == ""
     assert main(["strong", "--suite", "phi"]) == 2  # --n required
     capsys.readouterr()
-    # the guards on h run before the note
     assert main(["strong", "--suite", "phi", "--n", "3", "--h", "3"]) == 2
     _assert_one_line_error(capsys)
     # refused before delta(1, n) and its 2**n - 1 members are built
@@ -404,3 +413,189 @@ def test_strong_chain_and_limit(capsys):
     assert main(["strong", "--suite", "chain"]) == 2  # --h required
     assert main(["strong", "--suite", "limit", "--arity-cap", "9"]) == 2  # guard
     capsys.readouterr()
+
+
+# -- the process pool and the exit-code contract ----------------------------------
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the classify pool with one that maps in process and records
+    the size it was asked for, so no worker process is ever started."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "Pool", InProcessPool)
+    return sizes
+
+
+def test_classify_pool_capped_by_cores_and_chunks(tmp_path, capsys, monkeypatch, pool_sizes):
+    # 15 ranks at k = 2, h = 2; the chunks, and so the output, follow --jobs
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    outputs = set()
+    for jobs, resume, size in (
+        ("1", "1", None),
+        ("2", "1", 2),
+        ("3", "1", 3),
+        ("1000", "1", 4),  # more jobs than cores
+        (str(2**64), "1", 4),
+        ("3", "14", 2),  # two ranks left, so two chunks
+        ("3", "16", None),  # nothing left to classify
+    ):
+        out_file = tmp_path / "c.jsonl"
+        argv = ["classify", "--k", "2", "--h", "2", "--ell", "2", "--jobs", jobs,
+                "--resume-from", resume, "--out", str(out_file)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert pool_sizes == ([] if size is None else [size])
+        pool_sizes.clear()
+        if resume == "1":
+            outputs.add(out_file.read_bytes())
+    assert len(outputs) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: one core
+    assert main(["classify", "--k", "2", "--h", "2", "--ell", "2", "--jobs", "8"]) == 0
+    capsys.readouterr()
+    assert pool_sizes == []
+
+
+BAD_RELATIONS = (
+    "{not json",
+    "",
+    "[]",
+    '"text"',
+    '{"k":2}',
+    '{"k":2,"h":2}',
+    '{"k":-1,"h":2,"tuples":[]}',
+    '{"k":2,"h":-1,"mask_hex":""}',
+    '{"k":2,"h":2,"tuples":[[0,5]]}',
+    '{"k":2,"h":2,"tuples":[0]}',
+    '{"k":2,"h":2,"tuples":[[0,0,0]]}',
+    '{"k":2,"h":2,"mask_hex":"zz"}',
+    '{"k":2,"h":2,"mask_hex":"ffff"}',
+    '{"k":2,"h":2,"mask_hex":null}',
+    '{"k":1e400,"h":2,"tuples":[]}',
+    '{"k":2,"h":1e400,"mask_hex":""}',
+    '{"k":"two","h":2,"tuples":[]}',
+    '{"k":18446744073709551616,"h":2,"tuples":[]}',
+)
+
+BAD_FUNCTIONS = (
+    "{not json",
+    "[]",
+    '{"k":2,"n":1}',
+    '{"k":2,"n":1,"graph":[[[0],5]]}',
+    '{"k":2,"n":0,"graph":[]}',
+    '{"k":2,"n":1,"graph":[[0,1]]}',
+    '{"k":2,"n":1,"graph":[[[0]]]}',
+    '{"k":2,"n":2,"graph":[[[0,"a"],1]]}',
+    '{"k":2,"n":2,"graph":[[[[0],0],1]]}',
+    '{"k":2,"n":1e400,"graph":[]}',
+    '{"k":3,"n":1,"graph":[[[0],1],[[1],0]]}',
+)
+
+EDGE = (-1, 0, 1, 2, 2**64)
+
+
+def _contract_argv(rng, command, files, tmp_path):
+    """One argv for command.  Each flag takes, about half the time, a small
+    valid value, and otherwise a generic edge value or one past a guard."""
+    def pick(valid, past=()):
+        return str(rng.choice(valid if rng.random() < 0.55 else EDGE + past))
+
+    def path(kind):
+        good, bad = files[kind]
+        return rng.choice(good if rng.random() < 0.5 else bad)
+
+    if command == "check":
+        return ["check", "--relation", path("relation"), "--ell", pick((1, 2), (3,))]
+    if command == "construct":
+        argv = ["construct", "--k", pick((2, 3, 5)), "--ell", pick((2, 3)),
+                "--h", pick((2, 3, 4), (9, 14)),
+                "--out", str(tmp_path / rng.choice(("rel.json",) * 4 + ("missing/rel.json",)))]
+        return argv + rng.choice(([], ["--format", "tuples"]))
+    if command == "classify":
+        argv = ["classify", "--k", pick((2,), (3,)), "--h", pick((1, 2, 3), (5,)),
+                "--ell", pick((1, 2), (3,)), "--jobs", pick((1, 2, 3)),
+                "--resume-from", pick((1, 2, 15), (16,))]
+        argv += rng.choice(([], ["--timing"]))
+        return argv + rng.choice(([], ["--out", str(tmp_path / "missing" / "c.jsonl")]))
+    if command == "bounds":
+        argv = ["bounds", "--ell", pick((1, 2, 3)), "--h", pick((2, 3, 4, 13), (14,))]
+        return argv + rng.choice(([], ["--k", pick((2, 5, 59), (2**14000,))]))
+    argv = ["strong", "--suite", rng.choice(("phi", "witness", "chain", "limit"))]
+    for flag, valid, past in (
+        ("--n", (3, 4, 5), (PHI_MAX_N + 1,)),
+        ("--h", (2, 3), (PHI_MAX_N,)),
+        ("--arity-cap", (1, 2), (4,)),
+        ("--dom-cap", (0, 1, 2), ()),
+    ):
+        if rng.random() < 0.7:
+            argv += [flag, pick(valid, past)]
+    if rng.random() < 0.7:
+        argv += ["--fn-file", path("function")]
+    return argv
+
+
+def _too_slow(argv) -> bool:
+    """A valid run too large for a unit test (see the contract test)."""
+    args = dict(zip(argv[1::2], argv[2::2]))
+    k, h = int(args.get("--k", 0)), int(args.get("--h", 0))
+    size = k**h if k >= 2 and 1 <= h <= 64 else None
+    if argv[0] == "classify":
+        return size is not None and 8 < size <= 16
+    if argv[0] == "construct":
+        return size is not None and 10**5 < size <= 2**32
+    return False
+
+
+def test_cli_contract_on_seeded_edge_arguments(tmp_path, capsys, pool_sizes):
+    """Every subcommand, with seeded argv drawn from per-flag edge values
+    and with malformed relation and function files, exits 0, 1 or 2 without
+    raising, and exit 2 prints exactly one error line.
+
+    Skipped, for run time only: classify with 8 < k**h <= 16 (it sweeps
+    up to 65,535 relations), and construct with 10**5 < k**h <= 2**32 (it
+    builds a dense relation of that many bits; above 2**32 the relation is
+    refused before it is built).  Cases with an arity cap of 3 and phi at
+    n = 14 are not drawn; other tests run them."""
+    neg = PartialFn.from_mapping(2, 1, {(0,): 1, (1,): 0})
+    ident = PartialFn.from_mapping(2, 1, {(0,): 0, (1,): 1})
+    xor = PartialFn.from_mapping(2, 2, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})
+    files = {}
+    for kind, good, bad in (
+        ("relation", [json.dumps(rho.to_json()) for rho in
+                      (LEQ2, Relation.full(3, 2), Relation.empty(2, 2))], BAD_RELATIONS),
+        ("function", [json.dumps(f.to_json()) for f in (neg, ident, xor)], BAD_FUNCTIONS),
+    ):
+        paths = []
+        for i, text in enumerate(list(good) + list(bad)):
+            path = tmp_path / f"{kind}{i}.json"
+            path.write_text(text)
+            paths.append(str(path))
+        files[kind] = (paths[: len(good)], paths[len(good):] + [str(tmp_path / "absent.json")])
+    rng = random.Random(2015)
+    ran = 0
+    for command in ("check", "construct", "classify", "bounds", "strong") * 80:
+        argv = _contract_argv(rng, command, files, tmp_path)
+        if _too_slow(argv):
+            continue
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        ran += 1
+    assert ran > 350

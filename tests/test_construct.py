@@ -5,13 +5,13 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from rigidrel.construct import (
     AbstractTrace,
     BoundError,
-    IndexAntichain,
     TraceError,
     _fits_middle_layer,
     bound_sides,
@@ -21,7 +21,6 @@ from rigidrel.construct import (
     exists_2rigid,
     falling_factorial,
     max_k_2rigid,
-    middle_layer,
     r_bounds,
     rho_from_trace,
     sperner_bound_holds,
@@ -99,6 +98,17 @@ def test_r_bounds():
         r_bounds(4, 4)  # needs ell < h
 
 
+def test_bounds_refuse_unprintable_sizes_fast():
+    # the sizes the bounds command refuses, refused by the library before
+    # any binomial is built (max_k_2rigid(19) alone took 3.9 s unguarded)
+    assert max_k_2rigid(13) > 0  # the largest h the guard admits at ell = 2
+    for call, args in ((max_k_2rigid, (14,)), (max_k_2rigid, (22,)), (r_bounds, (3, 40))):
+        began = time.perf_counter()
+        with pytest.raises(CapacityError):
+            call(*args)
+        assert time.perf_counter() - began < 0.5
+
+
 def test_bound_sides_and_error_texts():
     # (tuples to place, ground patterns, middle-layer sets of the ground)
     assert bound_sides(59, 2, 4) == (3422, 14, math.comb(14, 7))
@@ -130,45 +140,6 @@ def test_middle_layer_fit_from_bit_lengths():
 
 
 # -- antichains ----------------------------------------------------------------
-
-
-def test_middle_layer_structure():
-    ground = sorted(beta(2, 3, range(2)))  # 6 surjective patterns
-    layer = middle_layer(ground)
-    assert len(layer.members) == math.comb(6, 3)
-    assert all(len(m) == 3 for m in layer.members)
-    assert layer.validate_antichain()
-
-
-def test_middle_layer_two_element_ground():
-    ground = sorted(beta(2, 2, range(2)))  # {(0,1), (1,0)}
-    layer = middle_layer(ground)
-    assert set(layer.members) == {frozenset({(0, 1)}), frozenset({(1, 0)})}
-
-
-def test_middle_layer_forbidden_and_empty():
-    ground = sorted(beta(2, 3, range(2)))  # 6 patterns
-    banned = ground[:2]
-    layer = middle_layer(ground, forbidden=banned)
-    assert len(layer.members) == math.comb(4, 2)
-    assert all(not (set(banned) & m) for m in layer.members)
-    with pytest.raises(ValueError):
-        middle_layer(ground, forbidden=[(9, 9, 9)])
-    assert middle_layer(ground, forbidden=ground).members == ()
-    assert middle_layer([]).members == ()
-
-
-def test_middle_layer_capacity_guard():
-    ground = sorted(beta(2, 5, range(2)))  # 30 patterns -> C(30,15) sets
-    with pytest.raises(CapacityError):
-        middle_layer(ground)
-
-
-def test_antichain_validation_rejects_nested_sets():
-    bad = IndexAntichain(2, 3, (frozenset({1}), frozenset({1, 2})))
-    assert not bad.validate_antichain()
-    good = IndexAntichain(2, 3, (frozenset({1}), frozenset({2})))
-    assert good.validate_antichain()
 
 
 def test_dual_2_swaps_symbols():

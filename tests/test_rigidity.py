@@ -20,7 +20,6 @@ from rigidrel.preserve import ppol1, unary_preserves
 from rigidrel.rigidity import (
     EmptyRelationError,
     _trace_masks,
-    OmegaClass,
     RigidityReport,
     brute_force_rigidity,
     enumerate_psi,
@@ -53,14 +52,14 @@ def test_omega_member_matches_definition():
             for f in all_partial_unary(k):
                 expected = f.below_identity or len(f.img) < ell
                 assert omega_member(f, ell) == expected
-                assert (f in OmegaClass(k, ell)) == expected
 
 
 def test_omega_class_validation():
+    f = PartialUnaryFn(2, (0, 1))
     with pytest.raises(ValueError):
-        OmegaClass(2, 3)
+        omega_member(f, 3)
     with pytest.raises(ValueError):
-        OmegaClass(2, 0)
+        omega_member(f, 0)
 
 
 def test_enumerate_psi_counts():

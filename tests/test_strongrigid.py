@@ -2,19 +2,28 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from rigidrel.kernel import CapacityError, PartialFn, Relation, all_partial_fns, is_trivial
+from rigidrel.kernel import (
+    CapacityError,
+    PartialFn,
+    Relation,
+    all_partial_fns,
+    is_partial_projection,
+    is_trivial,
+)
 from rigidrel.preserve import ViolationCertificate, check_certificate, preserves
 from rigidrel.strongrigid import (
+    PHI_MAX_N,
+    _agreement_depth,
     _break_levels,
     _breaks,
     _in_family,
     NoWitnessError,
     chain_inclusion,
     delta,
-    delta_family,
     delta_preserves,
     excluded_tuple,
     limit_is_trivial_clone,
@@ -52,15 +61,6 @@ def test_delta_misses_exactly_one_tuple():
             assert rel.size == 2**h - 1
             assert excluded_tuple(t, h) not in rel
     assert delta(1, 2).members == ((0, 0), (0, 1), (1, 1))
-
-
-def test_delta_family():
-    fam = delta_family(4)
-    assert len(fam) == 3
-    assert [f.size for f in fam] == [15, 15, 15]
-    assert list(delta_family(2)) == [delta(1, 2)]
-    with pytest.raises(ValueError):
-        delta_family(1)
 
 
 # -- delta_preserves against the generic checker -------------------------------
@@ -255,8 +255,75 @@ def test_phi_certificate_against_own_delta():
 def test_phi_preserves_all_rejects_h_not_below_n():
     with pytest.raises(ValueError):
         phi_preserves_all(3, 3)
-    with pytest.raises(CapacityError):
-        phi_preserves_all(6, 5)
+    with pytest.raises(ValueError):
+        phi_preserves_all(4, 0)
+    assert phi_preserves_all(6, 5)
+
+
+# -- every relation of one arity: the closure depth against the sweep ---------
+
+
+def _sweep_preserves_all(f: PartialFn, h: int) -> bool:
+    """The oracle: f against each of the 2**(2**h) h-ary relations on {0, 1}."""
+    nbytes = (2**h + 7) // 8
+    return all(
+        preserves(f, Relation(2, h, m.to_bytes(nbytes, "little"))).preserved
+        for m in range(2 ** (2**h))
+    )
+
+
+def _sweep_cases():
+    """Every function of arity 1 and 2, and a seeded sample of arity 3."""
+    fns = [f for n in (1, 2) for f in all_partial_fns(2, n)]
+    return fns + random.Random(20150).sample(list(all_partial_fns(2, 3)), 40)
+
+
+def test_agreement_depth_matches_relation_sweep():
+    for f in _sweep_cases():
+        d = _agreement_depth(f)
+        for h in (1, 2, 3):
+            assert (d is None or h < d) == _sweep_preserves_all(f, h), (f, h)
+
+
+def test_phi_preserves_all_matches_relation_sweep():
+    for n in range(3, 7):
+        for h in range(1, min(n, 4)):
+            assert phi_preserves_all(n, h) == _sweep_preserves_all(phi(n), h)
+    for n in range(3, PHI_MAX_N + 1):
+        assert _agreement_depth(phi(n)) == n
+        assert all(phi_preserves_all(n, h) for h in range(1, n))
+
+
+def _copies_no_coordinate(f: PartialFn, rows) -> bool:
+    """No coordinate i has r[i] = f(r) on every row r."""
+    mapping = f.mapping
+    return not any(all(r[i] == mapping[r] for r in rows) for i in range(f.n))
+
+
+def test_agreement_depth_rows_break_a_relation():
+    # found by brute force over row multisets: the fewest rows on which f
+    # copies no coordinate; their columns, padded with repeats to any
+    # h >= d rows, form an h-ary relation that f breaks
+    for f in _sweep_cases() + [phi(n) for n in range(3, 7)]:
+        d = _agreement_depth(f)
+        if d is None:
+            assert is_partial_projection(f)
+            continue
+        assert not any(
+            _copies_no_coordinate(f, rows)
+            for rows in itertools.combinations_with_replacement(f.dom, d - 1)
+        )
+        rows = next(
+            rows
+            for rows in itertools.combinations_with_replacement(f.dom, d)
+            if _copies_no_coordinate(f, rows)
+        )
+        for h in range(d, d + 3):
+            padded = rows + (rows[-1],) * (h - d)
+            rel = Relation.from_tuples(2, h, zip(*padded))
+            verdict = preserves(f, rel)
+            assert not verdict.preserved, (f, h)
+            assert check_certificate(verdict.certificate, f, rel), (f, h)
 
 
 # -- nontriviality witnesses ------------------------------------------------------
@@ -312,6 +379,10 @@ def test_chain_inclusion_guard():
         chain_inclusion(2, 4)
     with pytest.raises(ValueError):
         chain_inclusion(2, 0)  # an empty sweep proves nothing
+    # the separator phi(h + 1) is bounded as the phi suite bounds phi(n)
+    assert chain_inclusion(PHI_MAX_N - 1, 1)
+    with pytest.raises(CapacityError):
+        chain_inclusion(PHI_MAX_N, 1)
 
 
 def test_repeat_identification():
