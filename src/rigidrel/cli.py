@@ -301,8 +301,16 @@ def cmd_strong(args) -> int:
     return 0 if holds else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are one `error:` line and exit 2, like
+    every other usage error; its subcommand parsers inherit this."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rigidrel",
         description="Hereditary rigidity of finite relations: check, "
         "construct, classify, and inspect bounds.",

@@ -455,13 +455,13 @@ class PartialFn:
 def all_partial_fns(k: int, n: int):
     """All (k+1)**(k**n) n-ary partial functions, in a fixed table order."""
     _check_k(k)
-    inputs = tuple(tuple_unrank(r, n, k) for r in range(k**n))
-    choices = (None,) + tuple(range(k))
-    for values in itertools.product(choices, repeat=len(inputs)):
-        graph = tuple(
-            (args, v) for args, v in zip(inputs, values) if v is not None
-        )
-        yield PartialFn._trusted(k, n, graph)
+    # per input, in rank order: undefined, or one (args, value) pair per value
+    choices = [
+        (None,) + tuple((args, v) for v in range(k))
+        for args in (tuple_unrank(r, n, k) for r in range(k**n))
+    ]
+    for combo in itertools.product(*choices):
+        yield PartialFn._trusted(k, n, tuple(filter(None, combo)))
 
 
 def is_partial_projection(f: PartialFn) -> bool:
@@ -471,10 +471,8 @@ def is_partial_projection(f: PartialFn) -> bool:
     """
     if not f.graph:
         return True
-    for i in range(f.n):
-        if all(args[i] == v for args, v in f.graph):
-            return True
-    return False
+    dom, values = zip(*f.graph)
+    return values in zip(*dom)
 
 
 def is_partial_constant(f: PartialFn) -> bool:

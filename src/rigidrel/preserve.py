@@ -58,9 +58,8 @@ def check_certificate(cert: ViolationCertificate, f, rho: Relation) -> bool:
     if any(c not in rho for c in cert.columns):
         return False
     mapping = f.mapping
-    for i in range(h):
-        row = tuple(c[i] for c in cert.columns)
-        if row not in mapping or mapping[row] != cert.image[i]:
+    for row, y in zip(zip(*cert.columns), cert.image):
+        if row not in mapping or mapping[row] != y:
             return False
     return cert.image not in rho
 

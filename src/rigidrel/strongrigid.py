@@ -9,12 +9,14 @@ while each finite stage still contains a nontrivial member.
 Membership is decided from column bitmasks of f's domain rows: a matrix
 breaks delta(t, h) iff an AND of t one-rows and an AND of h - t
 complemented zero-rows share no bit.  The ANDs of i rows (repeats allowed)
-grow with i and reach the AND-closure, a fixpoint, within |dom(f)| steps,
-so one pass per function finds the pairs of levels that break, and they
-answer every (t, h): f preserves every delta(t, h) at arity h iff h is
-below the least i + j over its breaking pairs (i, j).  One closure over
-the rows' agreement masks likewise decides whether f preserves every
-relation of arity h (_agreement_depth).
+grow with i and reach the AND-closure, a fixpoint, within |dom(f)| steps.
+Each closure depends only on its row set, so a sweep builds one per row
+set, not per function, and reduces the zero side to best[a], the least
+depth of a key sharing no bit with a.  The pairs (i, best[a]) over the
+one-side keys a answer every (t, h): f preserves every delta(t, h) at
+arity h iff h is below the least i + j over them.  One closure over the
+rows' agreement masks likewise decides whether f preserves every relation
+of arity h (_agreement_depth).
 """
 
 from __future__ import annotations
@@ -111,14 +113,14 @@ def _column_mask(args: tuple) -> int:
 
 def _row_masks(f: PartialFn) -> tuple:
     """dom(f) as column bitmasks, split into the rows mapping to one and
-    those mapping to zero, each in graph order."""
+    those mapping to zero, each a tuple in graph order."""
     if f.k != 2:
         raise DomainMismatchError("delta relations live on a two-element base set")
     ones = []
     zeros = []
     for args, val in f.graph:
         (ones if val == 1 else zeros).append(_column_mask(args))
-    return ones, zeros
+    return tuple(ones), tuple(zeros)
 
 
 def _closure_depths(rows) -> dict:
@@ -159,28 +161,58 @@ def _agreement_depth(f: PartialFn):
     """
     ones, zeros = _row_masks(f)
     full = (1 << f.n) - 1
-    return _closure_depths(ones + [~bm & full for bm in zeros]).get(0)
+    return _closure_depths(ones + tuple(~bm & full for bm in zeros)).get(0)
 
 
-def _break_levels(f: PartialFn) -> frozenset:
-    """The pairs (i, j) of closure levels at which f breaks a delta relation.
+def _sweep_levels():
+    """A _break_levels for one sweep, with its closures memoised per row set.
 
     Bit c of an AND of one-rows, ANDed with an AND of complemented
     zero-rows, is set iff column c of the matrix stacking those rows
     equals the excluded tuple.  So an AND a of i one-rows and an AND b of
     j complemented zero-rows with a & b == 0 give a matrix breaking
-    delta(t, h) whenever i <= t and j <= h - t.  The pairs depend on f
-    alone: one pair test over the two closures answers every (t, h).
+    delta(t, h) whenever i <= t and j <= h - t.  Both closures depend only
+    on their row set, so each is built once per sweep, keyed by the row
+    masks; the zero side is then reduced to best[a], the least depth j of a
+    key b with a & b == 0, or 0 when no key has that.  best is filled in as
+    the one-side keys a ask for it: a table over every a < 2**n would cost
+    2**n entries at phi(PHI_MAX_N), whose one side has a single key.
+    The pairs (i, best[a]) are the least of f's breaking pairs: every other
+    one is (i, j) with j >= best[a], and _breaks and _in_family are
+    monotone, so they give the same answers on these pairs.
     """
-    ones, zeros = _row_masks(f)
-    full = (1 << f.n) - 1
-    side_b = _closure_depths([~bm & full for bm in zeros]).items()
-    return frozenset(
-        (i, j)
-        for a, i in _closure_depths(ones).items()
-        for b, j in side_b
-        if a & b == 0
-    )
+    one_sides: dict = {}
+    zero_sides: dict = {}
+
+    def levels(f: PartialFn) -> frozenset:
+        ones, zeros = _row_masks(f)
+        side_a = one_sides.get(ones)
+        if side_a is None:
+            side_a = one_sides[ones] = _closure_depths(ones).items()
+        key = (f.n, zeros)
+        side_b = zero_sides.get(key)
+        if side_b is None:
+            full = (1 << f.n) - 1
+            closure = _closure_depths([~bm & full for bm in zeros]).items()
+            side_b = zero_sides[key] = (closure, {})
+        closure, best = side_b
+        pairs = []
+        for a, i in side_a:
+            j = best.get(a)
+            if j is None:
+                j = best[a] = min([d for b, d in closure if a & b == 0], default=0)
+            if j:
+                pairs.append((i, j))
+        return frozenset(pairs)
+
+    return levels
+
+
+def _break_levels(f: PartialFn) -> frozenset:
+    """The least pairs (i, j) of closure levels at which f breaks a delta
+    relation (see _sweep_levels).  The pairs depend on f alone: one pair
+    test over the two closures answers every (t, h)."""
+    return _sweep_levels()(f)
 
 
 def _breaks(levels: frozenset, t: int, h: int) -> bool:
@@ -274,8 +306,7 @@ def witness_nontrivial(f: PartialFn) -> NontrivialityWitness:
     rows = tuple(ones + zeros)
     t, h = len(ones), len(rows)
     v = excluded_tuple(t, h)
-    for j in range(f.n):
-        assert tuple(r[j] for r in rows) != v, "f would be a projection"
+    assert v not in zip(*rows), "f would be a projection"
     return NontrivialityWitness(h, t, rows)
 
 
@@ -287,8 +318,7 @@ def verify_witness(f: PartialFn, w: NontrivialityWitness) -> bool:
     v = excluded_tuple(w.t, w.h)
     if tuple(mapping[r] for r in w.rows) != v:
         return False
-    columns = tuple(tuple(r[j] for r in w.rows) for j in range(f.n))
-    cert = ViolationCertificate(columns, v)
+    cert = ViolationCertificate(tuple(zip(*w.rows)), v)
     return check_certificate(cert, f, delta(w.t, w.h))
 
 
@@ -302,15 +332,18 @@ def chain_inclusion(h: int, arity_cap: int, dom_cap=None) -> bool:
         raise ValueError(f"need arity_cap >= 1, got {arity_cap}")
     if arity_cap > 3:
         raise CapacityError("chain_inclusion sweeps 3**(2**n) functions, arity_cap <= 3")
+    if dom_cap is not None and dom_cap < 0:
+        raise ValueError(f"need dom_cap >= 0, got {dom_cap}")
     if h >= PHI_MAX_N:
         raise CapacityError(
             f"chain_inclusion separates with phi(h + 1) and requires h < {PHI_MAX_N}"
         )
+    levels_of = _sweep_levels()
     for n in range(1, arity_cap + 1):
         for f in all_partial_fns(2, n):
             if dom_cap is not None and len(f.graph) > dom_cap:
                 continue
-            levels = _break_levels(f)
+            levels = levels_of(f)
             if _in_family(levels, h + 1) and not _in_family(levels, h):
                 return False
     sep = phi(h + 1)
@@ -371,9 +404,10 @@ def limit_is_trivial_clone(arity_cap: int) -> bool:
     if arity_cap > 3:
         raise CapacityError("limit sweep covers 3**(2**n) functions, arity_cap <= 3")
     h_max = 2**arity_cap
+    levels_of = _sweep_levels()
     for n in range(1, arity_cap + 1):
         for f in all_partial_fns(2, n):
-            levels = _break_levels(f)
+            levels = levels_of(f)
             if is_trivial(f):
                 for h in range(2, h_max + 1):
                     if not _in_family(levels, h):

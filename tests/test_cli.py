@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, formats, determinism."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -410,6 +411,9 @@ def test_strong_chain_and_limit(capsys):
     _assert_one_line_error(capsys)
     assert main(["strong", "--suite", "chain", "--h", "2", "--arity-cap", "0"]) == 2
     _assert_one_line_error(capsys)
+    # a negative --dom-cap skips every function, the empty one too
+    assert main(["strong", "--suite", "chain", "--h", "2", "--dom-cap", "-1"]) == 2
+    _assert_one_line_error(capsys)
     assert main(["strong", "--suite", "chain"]) == 2  # --h required
     assert main(["strong", "--suite", "limit", "--arity-cap", "9"]) == 2  # guard
     capsys.readouterr()
@@ -506,13 +510,37 @@ BAD_FUNCTIONS = (
 )
 
 EDGE = (-1, 0, 1, 2, 2**64)
+NOT_INT = ("x", "1.5", "", "2**3")
+
+# usage errors that argparse itself reports, each exit 2 with one line
+ARGPARSE_ERRORS = (
+    [],
+    ["bogus"],
+    ["--k", "2"],
+    ["strong", "--suite"],
+    ["strong", "--suite", "limit", "extra"],
+    ["check", "--relation", "r.json", "--ell", "two"],
+    ["strong", "--suite", "phi", "--n", "3", "--dom-cap", "x"],
+)
 
 
 def _contract_argv(rng, command, files, tmp_path):
     """One argv for command.  Each flag takes, about half the time, a small
-    valid value, and otherwise a generic edge value or one past a guard."""
+    valid value, and otherwise a generic edge value, one past a guard or,
+    now and then, no integer at all; one flag in ten argv is dropped."""
+    argv = _contract_flags(rng, command, files, tmp_path)
+    if rng.random() < 0.1:
+        i = rng.choice([i for i, a in enumerate(argv) if a.startswith("--") and a != "--timing"])
+        del argv[i : i + 2]
+    return argv
+
+
+def _contract_flags(rng, command, files, tmp_path):
     def pick(valid, past=()):
-        return str(rng.choice(valid if rng.random() < 0.55 else EDGE + past))
+        roll = rng.random()
+        if roll < 0.05:
+            return rng.choice(NOT_INT)
+        return str(rng.choice(valid if roll < 0.55 else EDGE + past))
 
     def path(kind):
         good, bad = files[kind]
@@ -539,7 +567,7 @@ def _contract_argv(rng, command, files, tmp_path):
         ("--n", (3, 4, 5), (PHI_MAX_N + 1,)),
         ("--h", (2, 3), (PHI_MAX_N,)),
         ("--arity-cap", (1, 2), (4,)),
-        ("--dom-cap", (0, 1, 2), ()),
+        ("--dom-cap", (0, 1, 2), (-1,)),
     ):
         if rng.random() < 0.7:
             argv += [flag, pick(valid, past)]
@@ -551,19 +579,23 @@ def _contract_argv(rng, command, files, tmp_path):
 def _too_slow(argv) -> bool:
     """A valid run too large for a unit test (see the contract test)."""
     args = dict(zip(argv[1::2], argv[2::2]))
-    k, h = int(args.get("--k", 0)), int(args.get("--h", 0))
+    try:
+        k, h = int(args.get("--k", 0)), int(args.get("--h", 0))
+    except ValueError:
+        return False  # refused by the parser
     size = k**h if k >= 2 and 1 <= h <= 64 else None
-    if argv[0] == "classify":
+    if argv[:1] == ["classify"]:
         return size is not None and 8 < size <= 16
-    if argv[0] == "construct":
+    if argv[:1] == ["construct"]:
         return size is not None and 10**5 < size <= 2**32
     return False
 
 
 def test_cli_contract_on_seeded_edge_arguments(tmp_path, capsys, pool_sizes):
     """Every subcommand, with seeded argv drawn from per-flag edge values
-    and with malformed relation and function files, exits 0, 1 or 2 without
-    raising, and exit 2 prints exactly one error line.
+    and with malformed relation and function files, and every usage error
+    argparse reports itself, exits 0, 1 or 2 without raising, and exit 2
+    prints exactly one error line.
 
     Skipped, for run time only: classify with 8 < k**h <= 16 (it sweeps
     up to 65,535 relations), and construct with 10**5 < k**h <= 2**32 (it
@@ -586,9 +618,12 @@ def test_cli_contract_on_seeded_edge_arguments(tmp_path, capsys, pool_sizes):
             paths.append(str(path))
         files[kind] = (paths[: len(good)], paths[len(good):] + [str(tmp_path / "absent.json")])
     rng = random.Random(2015)
+    drawn = (
+        _contract_argv(rng, command, files, tmp_path)
+        for command in ("check", "construct", "classify", "bounds", "strong") * 80
+    )
     ran = 0
-    for command in ("check", "construct", "classify", "bounds", "strong") * 80:
-        argv = _contract_argv(rng, command, files, tmp_path)
+    for argv in itertools.chain(ARGPARSE_ERRORS, drawn):
         if _too_slow(argv):
             continue
         code = main(argv)

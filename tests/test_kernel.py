@@ -327,6 +327,31 @@ def test_all_partial_fns_census():
         assert f == g and hash(f) == hash(g) and f.mapping == g.mapping
 
 
+def _reference_graphs(k: int, n: int):
+    """The enumeration as first written: one value choice per input, in
+    rank order, dropping the inputs left undefined."""
+    inputs = tuple(tuple_unrank(r, n, k) for r in range(k**n))
+    choices = (None,) + tuple(range(k))
+    for values in itertools.product(choices, repeat=len(inputs)):
+        yield tuple((args, v) for args, v in zip(inputs, values) if v is not None)
+
+
+def test_all_partial_fns_matches_reference_enumeration():
+    # the same graphs in the same order, streamed: (3, 2) has 4**9 of them
+    for k, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+        pairs = itertools.zip_longest(all_partial_fns(k, n), _reference_graphs(k, n))
+        assert all(f is not None and f.graph == want for f, want in pairs), (k, n)
+
+
+def test_is_partial_projection_matches_definition():
+    # every function at (2, n <= 3) and (3, 1): some coordinate i with
+    # args[i] == f(args) across the whole graph
+    for k, n in ((2, 1), (2, 2), (2, 3), (3, 1)):
+        for f in all_partial_fns(k, n):
+            expected = any(all(a[i] == v for a, v in f.graph) for i in range(n))
+            assert is_partial_projection(f) == expected, f
+
+
 def test_partial_fn_json_round_trip():
     f = PartialFn.from_mapping(3, 2, {(0, 1): 2, (1, 1): 0})
     data = f.to_json()

@@ -85,6 +85,30 @@ def test_check_certificate_rejects_fabrications():
     )
 
 
+def test_check_certificate_rejects_single_field_tamperings():
+    xor = PartialFn.from_mapping(
+        2, 2, {t: (t[0] + t[1]) % 2 for t in itertools.product(range(2), repeat=2)}
+    )
+    first = PartialFn.from_mapping(
+        2, 2, {t: t[0] for t in itertools.product(range(2), repeat=2)}
+    )
+    rho = LEQ2  # misses (1, 0) only
+    columns, image = ((1, 1), (0, 1)), (1, 0)  # rows (1, 0) -> 1 and (1, 1) -> 0
+    assert check_certificate(ViolationCertificate(columns, image), xor, rho)
+    for cert, f in (
+        (ViolationCertificate(columns, (0, 0)), xor),  # wrong image entry
+        (ViolationCertificate(columns, (1, 1)), xor),
+        (ViolationCertificate(columns, image), xor.restrict([(1, 1), (0, 0)])),  # row outside dom
+        (ViolationCertificate(((1, 0), (0, 1)), image), xor),  # column outside rho
+        (ViolationCertificate(columns, (1, 1)), first),  # image inside rho
+        (ViolationCertificate(columns[:1], image), xor),  # wrong lengths
+        (ViolationCertificate(columns + ((0, 0),), image), xor),
+        (ViolationCertificate(columns, image + (0,)), xor),
+        (ViolationCertificate(((1, 1, 0), (0, 1, 1)), image), xor),
+    ):
+        assert not check_certificate(cert, f, rho), (cert, f)
+
+
 # -- unary_preserves -------------------------------------------------------
 
 

@@ -14,14 +14,19 @@ from rigidrel.kernel import (
     is_partial_projection,
     is_trivial,
 )
+from rigidrel import strongrigid
 from rigidrel.preserve import ViolationCertificate, check_certificate, preserves
 from rigidrel.strongrigid import (
     PHI_MAX_N,
     _agreement_depth,
     _break_levels,
     _breaks,
+    _closure_depths,
     _in_family,
+    _row_masks,
+    _sweep_levels,
     NoWitnessError,
+    NontrivialityWitness,
     chain_inclusion,
     delta,
     delta_preserves,
@@ -117,6 +122,48 @@ def test_in_family_matches_exact_and_sets():
                 assert _in_family(levels, h) == member, (f, h)
                 per_t = not any(_breaks(levels, t, h) for t in range(1, h))
                 assert per_t == member, (f, h)
+
+
+def _all_break_pairs(f):
+    """Every breaking pair (i, j), as _break_levels built them before the
+    sweeps shared closures: both closures in full, every pair of keys."""
+    ones, zeros = _row_masks(f)
+    full = (1 << f.n) - 1
+    side_b = _closure_depths([~bm & full for bm in zeros]).items()
+    return frozenset(
+        (i, j) for a, i in _closure_depths(ones).items() for b, j in side_b if a & b == 0
+    )
+
+
+def test_sweep_levels_answer_as_every_break_pair():
+    levels_of = _sweep_levels()  # one memo across all 6,651 functions
+    for n in (1, 2, 3):
+        for f in all_partial_fns(2, n):
+            levels = levels_of(f)
+            assert levels == _break_levels(f), f  # a fresh memo agrees
+            pairs = _all_break_pairs(f)
+            assert levels <= pairs, f
+            for h in range(2, 10):
+                assert _in_family(levels, h) == _in_family(pairs, h), (f, h)
+                for t in range(1, h):
+                    assert _breaks(levels, t, h) == _breaks(pairs, t, h), (f, t, h)
+
+
+def test_limit_sweep_builds_one_closure_per_row_set(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return _closure_depths(rows)
+
+    monkeypatch.setattr(strongrigid, "_closure_depths", counting)
+    assert limit_is_trivial_clone(3)
+    first = len(calls)
+    # one-row sets and complemented zero-row sets: 2 * (2**2 + 2**4 + 2**8)
+    assert 0 < first <= 552
+    calls.clear()
+    assert limit_is_trivial_clone(3)
+    assert len(calls) == first  # the memo does not outlive its sweep
 
 
 # delta_preserves certificates as the forward pass picked them before the
@@ -360,6 +407,49 @@ def test_witness_all_nontrivial_binary_functions():
             assert not delta_preserves(f, w.t, w.h).preserved
 
 
+def _reference_witness(f):
+    """The witness and its replay as written before they transposed rows
+    and columns with zip: (witness, does the replay accept it)."""
+    ones = sorted(args for args, val in f.graph if val == 1)
+    zeros = sorted(args for args, val in f.graph if val == 0)
+    rows = tuple(ones + zeros)
+    w = NontrivialityWitness(len(rows), len(ones), rows)
+    return w, _reference_replay(f, w)
+
+
+def _reference_replay(f, w):
+    if w.h != len(w.rows) or sorted(w.rows) != sorted(f.dom):
+        return False
+    v = excluded_tuple(w.t, w.h)
+    if tuple(f.mapping[r] for r in w.rows) != v:
+        return False
+    columns = tuple(tuple(r[j] for r in w.rows) for j in range(f.n))
+    rho = delta(w.t, w.h)
+    if any(c not in rho for c in columns):
+        return False
+    for i in range(w.h):
+        row = tuple(c[i] for c in columns)
+        if row not in f.mapping or f.mapping[row] != v[i]:
+            return False
+    return v not in rho
+
+
+def test_witness_and_replay_unchanged_on_every_nontrivial_function():
+    nontrivial = 0
+    for n in (1, 2, 3):
+        for f in all_partial_fns(2, n):
+            if is_trivial(f):
+                continue
+            nontrivial += 1
+            w = witness_nontrivial(f)
+            assert (w, verify_witness(f, w)) == _reference_witness(f) == (w, True), f
+            # reordered rows: the image column is no longer the excluded tuple
+            for rows in (w.rows[1:] + w.rows[:1], w.rows[::-1]):
+                bad = NontrivialityWitness(w.h, w.t, rows)
+                assert verify_witness(f, bad) == _reference_replay(f, bad), (f, rows)
+    assert nontrivial == 5435
+
+
 def test_verify_witness_rejects_wrong_shape():
     w = witness_nontrivial(NEG)
     assert not verify_witness(XOR, w)
@@ -379,6 +469,9 @@ def test_chain_inclusion_guard():
         chain_inclusion(2, 4)
     with pytest.raises(ValueError):
         chain_inclusion(2, 0)  # an empty sweep proves nothing
+    with pytest.raises(ValueError):
+        chain_inclusion(2, 3, -1)  # so does one that skips every function
+    assert chain_inclusion(2, 1, 0)  # the empty function alone
     # the separator phi(h + 1) is bounded as the phi suite bounds phi(n)
     assert chain_inclusion(PHI_MAX_N - 1, 1)
     with pytest.raises(CapacityError):
