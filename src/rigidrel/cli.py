@@ -238,12 +238,25 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_strong(args) -> int:
-    # the option each suite cannot run without, as (dest, flag)
-    needs = {"phi": ("n", "--n"), "witness": ("fn_file", "--fn-file"), "chain": ("h", "--h")}
-    dest, flag = needs.get(args.suite, (None, None))
-    if dest is not None and getattr(args, dest) is None:
-        print(f"error: --suite {args.suite} requires {flag}", file=sys.stderr)
-        return 2
+    # per suite, the options it cannot run without and the ones it takes
+    flags = {"n": "--n", "h": "--h", "fn_file": "--fn-file",
+             "arity_cap": "--arity-cap", "dom_cap": "--dom-cap"}
+    required, allowed = {
+        "phi": (("n",), ("n", "h")),
+        "witness": (("fn_file",), ("fn_file",)),
+        "chain": (("h",), ("h", "arity_cap", "dom_cap")),
+        "limit": ((), ("arity_cap",)),
+    }[args.suite]
+    for dest in required:
+        if getattr(args, dest) is None:
+            print(f"error: --suite {args.suite} requires {flags[dest]}", file=sys.stderr)
+            return 2
+    for dest, flag in flags.items():
+        if dest not in allowed and getattr(args, dest) is not None:
+            print(f"error: --suite {args.suite} does not take {flag}", file=sys.stderr)
+            return 2
+    if args.arity_cap is None:
+        args.arity_cap = 2
     if args.suite == "phi":
         n = args.n
         h = args.h if args.h is not None else n - 1
@@ -360,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--h", type=int)
     p.add_argument("--fn-file", dest="fn_file")
-    p.add_argument("--arity-cap", type=int, default=2, dest="arity_cap")
+    p.add_argument("--arity-cap", type=int, dest="arity_cap", help="default 2")
     p.add_argument("--dom-cap", type=int, default=None, dest="dom_cap")
     p.set_defaults(func=cmd_strong)
 

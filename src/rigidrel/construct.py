@@ -255,11 +255,13 @@ def rho_from_trace(tr: AbstractTrace) -> Relation:
 def construct_2rigid(k: int, h: int) -> Relation:
     """Build and verify a hereditarily 2-rigid h-ary relation on k points.
 
-    Walks the middle layer over the two-symbol surjective patterns in
-    colex order, assigning to each unordered pair {a, b} (in
-    lexicographic order) the first set whose dual is also fresh; the
-    reversed pair gets the dual.  The counting criterion is checked up
-    front and the result is re-verified before being returned.
+    Each unordered pair {a, b}, in lexicographic order, gets the first
+    fresh set of the middle layer over the two-symbol surjective patterns,
+    in colex order, and the reversed pair gets its dual (see _assign).
+    The dual pairs the patterns off, and each set has an odd number
+    2**(h-1) - 1 of them, so no set is its own dual.  The counting
+    criterion is checked up front and the result is re-verified before
+    being returned.
     """
     if k < 2 or h < 1:
         raise ValueError("need k >= 2, h >= 1")
@@ -270,37 +272,19 @@ def construct_2rigid(k: int, h: int) -> Relation:
             f"k(k-1) = {need} > C({s},{s // 2}) = {math.comb(s, s // 2)}"
         )
     rank_count(k, h)  # refuse before any work a relation too large to hold
-    swap = _relabellings(2, h)[1][1]
-    stream = subsets_colex(s, s // 2)  # masks over the sorted patterns
-    used = set()
-    assignment = {}
-    for a, b in itertools.combinations(range(k), 2):
-        for m in stream:
-            if m in used:
-                continue
-            dual = swap(m)
-            assert dual not in used, "used sets stay closed under duals"
-            assignment[(a, b)] = m
-            assignment[(b, a)] = dual
-            used.add(m)
-            used.add(dual)
-            break
-        else:
-            raise ConstructionError(
-                f"middle layer exhausted at pair ({a},{b})"
-            )
-    return _built(AbstractTrace(2, h, k, tuple(sorted(assignment.items()))))
+    return _built(_assign(k, 2, h, subsets_colex(s, s // 2), 0))
 
 
 def construct_ellrigid(k: int, ell: int, h: int) -> Relation:
     """Build and verify a hereditarily ell-rigid relation for ell >= 3.
 
-    One free orbit of patterns is reserved to tag each alphabet
-    permutation; the remaining ground's middle layer supplies, for each
-    increasing ell-subset of the base set, a set with a free orbit under
-    alphabet permutations (stabilized sets are skipped, with a bounded
-    backtracking fallback).  The equivariant extension then generates the
-    relation, which is re-verified before being returned.
+    The first pattern y and its orbit under alphabet permutations are held
+    back: the bit of y, moved by each permutation, tags the sets of the
+    reordered tuples.  Each increasing ell-subset of the base set gets the
+    first set, from the middle layer over the remaining patterns in colex
+    order, whose orbit is free and not yet taken; the reordered tuples get
+    its images (see _assign).  The relation is re-verified before being
+    returned.
     """
     if ell < 3:
         raise ValueError("construct_ellrigid needs ell >= 3 (ell = 2 has its own constructor)")
@@ -323,14 +307,7 @@ def construct_ellrigid(k: int, ell: int, h: int) -> Relation:
     ground = [i for i in range(n) if 1 << i not in y_orbit]
     where = dict(zip(ground, range(m)))
     spread = _bit_map([where.get(i) for i in range(n)], m)
-    stream = map(spread, subsets_colex(m, m // 2))
-    reps = list(itertools.combinations(range(k), ell))
-    chosen = _assign_orbit_disjoint(reps, stream, relabel)
-    assignment = {}
-    for rep, x in chosen.items():
-        for perm, move in relabel:
-            assignment[tuple(rep[pi] for pi in perm)] = move(x | 1)
-    return _built(AbstractTrace(ell, h, k, tuple(sorted(assignment.items()))))
+    return _built(_assign(k, ell, h, map(spread, subsets_colex(m, m // 2)), 1))
 
 
 def _built(tr: AbstractTrace) -> Relation:
@@ -348,50 +325,41 @@ def _built(tr: AbstractTrace) -> Relation:
     return rho
 
 
-def _assign_orbit_disjoint(reps, stream, relabel, node_budget=200_000):
-    """Give each representative a candidate mask whose alphabet orbit is
-    free and disjoint from earlier choices.
+def _assign(k: int, ell: int, h: int, stream, tag: int) -> AbstractTrace:
+    """The trace giving each increasing ell-tuple the first mask x of
+    stream that is not taken and whose orbit under the relabellings is
+    free; the tuple reordered by a permutation gets x | tag, both moved.
 
-    Greedy in stream order; the depth-first fallback only backtracks when
-    the greedy pass would fail, and gives up deterministically once the
-    node budget is spent.  The search keeps its own stack, so the number
-    of representatives is not bounded by the recursion limit.
+    The relabellings form a group acting on masks, and the stream is a
+    union of orbits, so orbits are equal or disjoint: x is free of the
+    taken orbits exactly when x itself is not taken, and a pick never
+    blocks another orbit.  The pass thus picks one mask per free orbit
+    met, as many as any search over the same masks can.  It draws at most
+    64 C(k, ell) + 256 free masks, taken ones included.
     """
-    candidates = []  # (mask, orbit) pairs with free orbits, in stream order
-    pull_budget = 64 * len(reps) + 256
-
-    def ensure(idx) -> bool:
-        while len(candidates) <= idx:
-            if len(candidates) >= pull_budget:
-                return False
-            x = next(stream, None)
-            if x is None:
-                return False
-            orbit = {move(x) for _, move in relabel}
-            if len(orbit) == len(relabel):
-                candidates.append((x, orbit))
-        return True
-
-    picks: list = []  # candidate index chosen for each representative so far
-    taken: set = set()  # the union of their orbits, which are disjoint
-    pos = 0
-    nodes = 0
-    while len(picks) < len(reps) and nodes < node_budget:
-        nodes += 1
-        if not ensure(pos):
-            if not picks:
+    relabel = _relabellings(ell, h)[1:]  # the identity comes first
+    moves = [move for _, move in relabel]
+    reorders = [(itemgetter(*p), move(tag)) for p, move in relabel]
+    left = 64 * math.comb(k, ell) + 256  # free masks still to draw
+    taken = set()
+    assignment = []
+    stream = iter(stream)
+    for rep in itertools.combinations(range(k), ell):
+        for x in stream:
+            if x in taken:
+                left -= 1
+            elif x not in (images := [move(x) for move in moves]):
+                left -= 1  # no relabelling fixes x, so its orbit is free
                 break
-            pos = picks.pop()
-            taken -= candidates[pos][1]
-            pos += 1
-            continue
-        orbit = candidates[pos][1]
-        if taken.isdisjoint(orbit):
-            picks.append(pos)
-            taken |= orbit
-        pos += 1
-    if len(picks) < len(reps):
-        raise ConstructionError(
-            "could not pick orbit-disjoint antichain members within budget"
-        )
-    return {rep: candidates[i][0] for rep, i in zip(reps, picks)}
+        else:
+            left = -1  # the stream ran out
+        if left < 0:
+            raise ConstructionError(
+                "could not pick orbit-disjoint antichain members within budget"
+            )
+        taken.add(x)
+        taken.update(images)
+        assignment.append((rep, x | tag))
+        for (reorder, t), image in zip(reorders, images):
+            assignment.append((reorder(rep), image | t))
+    return AbstractTrace(ell, h, k, tuple(sorted(assignment)))

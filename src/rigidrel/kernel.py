@@ -418,15 +418,15 @@ class PartialFn:
         items = tuple(sorted((tuple(a), v) for a, v in dict(mapping).items()))
         return cls(k, n, items)
 
-    @cached_property
+    @property
     def mapping(self) -> dict:
         return dict(self.graph)
 
-    @cached_property
+    @property
     def dom(self):
         return tuple(a for a, _ in self.graph)
 
-    @cached_property
+    @property
     def values(self) -> frozenset:
         return frozenset(v for _, v in self.graph)
 

@@ -408,16 +408,14 @@ def limit_is_trivial_clone(arity_cap: int) -> bool:
     for n in range(1, arity_cap + 1):
         for f in all_partial_fns(2, n):
             levels = levels_of(f)
-            if is_trivial(f):
-                for h in range(2, h_max + 1):
-                    if not _in_family(levels, h):
-                        return False
-            else:
+            try:
                 w = witness_nontrivial(f)
-                if w.h > h_max or not verify_witness(f, w):
+            except NoWitnessError:  # f is trivial
+                if not all(_in_family(levels, h) for h in range(2, h_max + 1)):
                     return False
-                if not any(
-                    _breaks(levels, m, 2 * m) for m in range(1, h_max // 2 + 1)
-                ):
-                    return False
+                continue
+            if w.h > h_max or not verify_witness(f, w):
+                return False
+            if not any(_breaks(levels, m, 2 * m) for m in range(1, h_max // 2 + 1)):
+                return False
     return True

@@ -404,6 +404,7 @@ def test_strong_chain_and_limit(capsys):
     assert main(["strong", "--suite", "chain", "--h", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["holds"] is True and out["separator_arity"] == 3
+    assert out["arity_cap"] == 2  # the default
     assert main(["strong", "--suite", "limit", "--arity-cap", "2"]) == 0
     assert json.loads(capsys.readouterr().out) == {"arity_cap": 2, "holds": True}
     # an empty sweep proves nothing, so it is a usage error, not "holds"
@@ -417,6 +418,19 @@ def test_strong_chain_and_limit(capsys):
     assert main(["strong", "--suite", "chain"]) == 2  # --h required
     assert main(["strong", "--suite", "limit", "--arity-cap", "9"]) == 2  # guard
     capsys.readouterr()
+    # a flag the suite does not take is refused, not ignored
+    for argv, flag in (
+        (["--suite", "limit", "--arity-cap", "1", "--dom-cap", "-1", "--h", "99", "--n", "99"], "--n"),
+        (["--suite", "limit", "--dom-cap", "3"], "--dom-cap"),
+        (["--suite", "chain", "--h", "2", "--n", "3"], "--n"),
+        (["--suite", "chain", "--h", "2", "--fn-file", "f.json"], "--fn-file"),
+        (["--suite", "phi", "--n", "4", "--arity-cap", "2"], "--arity-cap"),
+        (["--suite", "witness", "--fn-file", "f.json", "--h", "3"], "--h"),
+    ):
+        assert main(["strong"] + argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --suite {argv[1]} does not take {flag}\n"
 
 
 # -- the process pool and the exit-code contract ----------------------------------
@@ -524,6 +538,23 @@ ARGPARSE_ERRORS = (
 )
 
 
+# the strong flags, each with its valid values and values past a guard,
+# and the flags each suite takes
+STRONG_FLAGS = {
+    "--n": ((3, 4, 5), (PHI_MAX_N + 1,)),
+    "--h": ((2, 3), (PHI_MAX_N,)),
+    "--arity-cap": ((1, 2), (4,)),
+    "--dom-cap": ((0, 1, 2), (-1,)),
+    "--fn-file": None,
+}
+SUITE_FLAGS = {
+    "phi": ("--n", "--h"),
+    "witness": ("--fn-file",),
+    "chain": ("--h", "--arity-cap", "--dom-cap"),
+    "limit": ("--arity-cap",),
+}
+
+
 def _contract_argv(rng, command, files, tmp_path):
     """One argv for command.  Each flag takes, about half the time, a small
     valid value, and otherwise a generic edge value, one past a guard or,
@@ -562,17 +593,14 @@ def _contract_flags(rng, command, files, tmp_path):
     if command == "bounds":
         argv = ["bounds", "--ell", pick((1, 2, 3)), "--h", pick((2, 3, 4, 13), (14,))]
         return argv + rng.choice(([], ["--k", pick((2, 5, 59), (2**14000,))]))
-    argv = ["strong", "--suite", rng.choice(("phi", "witness", "chain", "limit"))]
-    for flag, valid, past in (
-        ("--n", (3, 4, 5), (PHI_MAX_N + 1,)),
-        ("--h", (2, 3), (PHI_MAX_N,)),
-        ("--arity-cap", (1, 2), (4,)),
-        ("--dom-cap", (0, 1, 2), (-1,)),
-    ):
-        if rng.random() < 0.7:
-            argv += [flag, pick(valid, past)]
-    if rng.random() < 0.7:
-        argv += ["--fn-file", path("function")]
+    suite = rng.choice(tuple(SUITE_FLAGS))
+    own = SUITE_FLAGS[suite]
+    flags = [flag for flag in own if rng.random() < 0.8]
+    if rng.random() < 0.2:  # a flag the suite does not take
+        flags.append(rng.choice([flag for flag in STRONG_FLAGS if flag not in own]))
+    argv = ["strong", "--suite", suite]
+    for flag in flags:
+        argv += [flag, path("function") if flag == "--fn-file" else pick(*STRONG_FLAGS[flag])]
     return argv
 
 

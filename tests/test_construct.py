@@ -12,7 +12,9 @@ import pytest
 from rigidrel.construct import (
     AbstractTrace,
     BoundError,
+    ConstructionError,
     TraceError,
+    _assign,
     _fits_middle_layer,
     bound_sides,
     construct_2rigid,
@@ -27,7 +29,7 @@ from rigidrel.construct import (
     surjection_count,
 )
 from rigidrel.kernel import CapacityError, Relation, beta, beta_lt
-from rigidrel.rigidity import is_hereditarily_ell_rigid, trace
+from rigidrel.rigidity import _relabellings, is_hereditarily_ell_rigid, trace
 
 
 # -- counting ----------------------------------------------------------------
@@ -394,6 +396,12 @@ PINNED_MASKS = {
     (3, 10, 4): "826a1164bba3690224f3febc497effafa902de0a0e10562c1b9e1ce3b5d83335",
     (3, 20, 4): "7d19334eb041f47f2934685d6505a37aad77568f2859de4bc83f67e0db8c00ff",
     (4, 6, 5): "45ee611e1c4963c07575944722a525a2fbbd86f95bc624a98700bd21d4ce0adc",
+    # as built by the two assignment loops that one greedy pass replaced
+    (2, 20, 5): "56f1b6f093526d266ac341384387445a332dd07c12fa53ab44766003a5d028ea",
+    (3, 12, 4): "39d8dd7864373ed8e3002b54a1dad77e3faab3900f17434e0ef54fdce6dedba0",
+    (3, 7, 5): "1a342d4ea512658b1c901def19aab760a14d31c76a7045b2b8f1a50e533d0c2b",
+    (4, 5, 5): "2f1a9812d53b07354f5bb41ca7b756ad0402a6f2669b1c92cfcd4573671a1e0f",
+    (5, 6, 6): "096f6208af02cee34b6fee42296d3d6bb0579e08ff8af6d7c998b3bd14acf176",
 }
 
 
@@ -401,3 +409,23 @@ PINNED_MASKS = {
 def test_constructions_match_pinned_masks(ell, k, h):
     rho = construct_2rigid(k, h) if ell == 2 else construct_ellrigid(k, ell, h)
     assert hashlib.sha256(rho.mask).hexdigest() == PINNED_MASKS[(ell, k, h)]
+
+
+def test_assign_fails_when_the_stream_holds_too_few_free_orbits():
+    swap = _relabellings(2, 3)[1][1]
+    x, y, fixed = 0b000111, 0b001011, 0b100001  # fixed is its own dual
+    assert swap(fixed) == fixed and swap(x) not in (x, y)
+    budget_text = "could not pick orbit-disjoint antichain members within budget"
+    # k = 3 has three pairs, and these streams hold two free orbits
+    for stream in ([x, swap(x), fixed, y], [fixed, x, x, y, swap(y), x]):
+        with pytest.raises(ConstructionError, match=budget_text):
+            _assign(3, 2, 3, iter(stream), 0)
+    # a pair gets a free orbit, the other its image: both orbits are taken
+    tr = _assign(2, 2, 3, iter([fixed, x, swap(x), y]), 0)
+    assert tr.masks == (((0, 1), x), ((1, 0), swap(x)))
+    # the pass draws at most 64 C(k, 2) + 256 free masks, taken ones
+    # included: here the last pick is the cap-th free mask, then one past it
+    cap, z = 64 * 3 + 256, 0b010011
+    assert len(_assign(3, 2, 3, iter([x] + [swap(x)] * (cap - 3) + [y, z]), 0).masks) == 6
+    with pytest.raises(ConstructionError, match=budget_text):
+        _assign(3, 2, 3, iter([x] + [swap(x)] * (cap - 2) + [y, z]), 0)

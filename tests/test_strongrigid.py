@@ -166,6 +166,19 @@ def test_limit_sweep_builds_one_closure_per_row_set(monkeypatch):
     assert len(calls) == first  # the memo does not outlive its sweep
 
 
+def test_limit_sweep_decides_triviality_once_per_function(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return is_trivial(f)
+
+    monkeypatch.setattr(strongrigid, "is_trivial", counting)
+    assert limit_is_trivial_clone(3)
+    # the 3**2 + 3**4 + 3**8 functions of arity 1 to 3, once each
+    assert len(calls) == 6651
+
+
 # delta_preserves certificates as the forward pass picked them before the
 # verdict moved to the closure levels: (t, h) -> columns, None if preserved
 PINNED_CERTIFICATES = {
