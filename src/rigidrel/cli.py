@@ -262,7 +262,7 @@ def cmd_strong(args) -> int:
         h = args.h if args.h is not None else n - 1
         if n > PHI_MAX_N:
             raise CapacityError(
-                f"--suite phi checks delta(1, n) with 2**n - 1 members "
+                f"--suite phi builds an AND-closure of up to 2**n keys "
                 f"and requires n <= {PHI_MAX_N}, got n={n}"
             )
         f = phi(n)

@@ -103,10 +103,12 @@ def sperner_bound_holds(k: int, ell: int, h: int) -> bool:
 
 
 def exists_2rigid(k: int, h: int) -> bool:
-    """Exact existence criterion at ell = 2: k(k-1) <= C(2**h - 2, 2**(h-1) - 1)."""
-    if k < 2 or h < 1:
-        raise ValueError("need k >= 2, h >= 1")
-    return _fits_middle_layer(k * (k - 1), 2**h - 2)
+    """Exact existence criterion at ell = 2: k(k-1) <= C(2**h - 2, 2**(h-1) - 1).
+
+    This is sperner_bound_holds at ell = 2, as there are 2**h - 2
+    surjections from an h-set onto a 2-set.
+    """
+    return sperner_bound_holds(k, 2, h)
 
 
 def _fits_middle_layer(need: int, m: int) -> bool:

@@ -319,21 +319,8 @@ class PartialUnaryFn:
         return tuple(x for x, v in enumerate(self.table) if v is not None)
 
     @cached_property
-    def dom_mask(self) -> int:
-        m = 0
-        for x in self.dom:
-            m |= 1 << x
-        return m
-
-    @cached_property
     def img(self) -> frozenset:
         return frozenset(v for v in self.table if v is not None)
-
-    def defined_at(self, x: int) -> bool:
-        return self.table[x] is not None
-
-    def value_at(self, x: int):
-        return self.table[x]
 
     @cached_property
     def below_identity(self) -> bool:

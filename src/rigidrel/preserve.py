@@ -4,7 +4,8 @@ A function f of arity n preserves an h-ary relation rho when every h x n
 matrix whose columns lie in rho and whose rows lie in dom(f) has its
 row-wise image column back in rho.  A violating matrix is returned as a
 re-checkable certificate; with no eligible matrix the answer is
-vacuously yes.
+vacuously yes.  One search, preserves(), answers every arity:
+unary_preserves is preserves() on a unary function's graph.
 """
 
 from __future__ import annotations
@@ -65,47 +66,14 @@ def check_certificate(cert: ViolationCertificate, f, rho: Relation) -> bool:
 
 
 def unary_preserves(f: PartialUnaryFn, rho: Relation) -> PreservationVerdict:
-    """Preservation check for a unary partial function.
+    """Preservation check for a unary partial function: preserves() on its
+    graph.
 
-    Only members of rho whose support sits inside dom(f) can witness a
-    violation, so the scan walks the relation's support index rather than
-    the whole member list.  The certificate is the rank-least violating
-    tuple.
+    At n = 1 the search walks the members of rho in rank order, so the
+    certificate is the rank-least member inside dom(f) whose image leaves
+    rho.
     """
-    if f.k != rho.k:
-        raise DomainMismatchError("function and relation use different base sets")
-    index = rho.support_index
-    dmask = f.dom_mask
-    ndom = len(f.dom)
-    buckets = []
-    if ndom and (1 << ndom) <= 4 * len(index) + 4:
-        sub = dmask
-        while True:
-            if sub in index:
-                buckets.append(index[sub])
-            if sub == 0:
-                break
-            sub = (sub - 1) & dmask
-    else:
-        for smask, bucket in index.items():
-            if smask & ~dmask == 0:
-                buckets.append(bucket)
-    candidates = sorted(
-        (entry for bucket in buckets for entry in bucket), key=lambda e: e[0]
-    )
-    table = f.table
-    k, h = rho.k, rho.h
-    mask = rho.mask
-    for _, entries in candidates:
-        r = 0
-        for e in entries:
-            r = r * k + table[e]
-        if not mask[r >> 3] >> (r & 7) & 1:
-            image = tuple(table[e] for e in entries)
-            return PreservationVerdict(
-                False, ViolationCertificate((entries,), image)
-            )
-    return PreservationVerdict(True)
+    return preserves(f.as_partial_fn(), rho)
 
 
 def preserves(f: PartialFn, rho: Relation) -> PreservationVerdict:

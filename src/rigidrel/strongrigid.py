@@ -41,10 +41,11 @@ from .preserve import (
 )
 
 
-# Largest n for which phi(n) is checked, by the phi suite and as the chain's
-# separator: each check builds an AND-closure over phi(n)'s n rows, which
-# has at most 2**n keys.  The phi suite takes about 0.2 s at n = 14 and
-# doubles with each n (CPython 3.11, 2 vCPU).
+# Largest n for which phi(n) is checked, by phi_preserves_all, prefix_escape,
+# the phi suite and as the chain's separator: each check builds an
+# AND-closure over phi(n)'s n rows, which has at most 2**n keys.  The phi
+# suite takes about 0.2 s at n = 14 and doubles with each n (CPython 3.11,
+# 2 vCPU).
 PHI_MAX_N = 14
 
 
@@ -89,6 +90,15 @@ def phi(n: int) -> PartialFn:
     return PartialFn.from_mapping(2, n, rows)
 
 
+def _require_phi_arity(n: int) -> None:
+    """Refuse, before its AND-closure is built, a phi(n) with n > PHI_MAX_N."""
+    if n > PHI_MAX_N:
+        raise CapacityError(
+            f"phi(n) is checked through an AND-closure of up to 2**n keys "
+            f"and requires n <= {PHI_MAX_N}, got n={n}"
+        )
+
+
 def phi_preserves_all(n: int, h: int) -> bool:
     """Does phi(n) preserve every h-ary relation on {0, 1}?
 
@@ -99,6 +109,7 @@ def phi_preserves_all(n: int, h: int) -> bool:
         raise ValueError(f"need h < n, got h={h}, n={n}")
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
+    _require_phi_arity(n)
     return h < _agreement_depth(phi(n))
 
 
@@ -379,13 +390,13 @@ def prefix_escape(h0: int) -> PartialFn:
     """
     if h0 < 2:
         raise ValueError(f"need h0 >= 2, got {h0}")
+    _require_phi_arity(h0 + 1)
     f = phi(h0 + 1)
     if is_trivial(f):
         raise RuntimeError("separating function unexpectedly trivial")
-    levels = _break_levels(f)
-    for h in range(2, h0 + 1):
-        if not _in_family(levels, h):
-            raise RuntimeError(f"separating function escapes the {h}-ary family")
+    # membership is a threshold in h (see _in_family): h0 covers 2..h0
+    if not _in_family(_break_levels(f), h0):
+        raise RuntimeError(f"separating function escapes a family of arity <= {h0}")
     return f
 
 

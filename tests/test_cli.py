@@ -382,7 +382,7 @@ def test_strong_phi(capsys):
     capsys.readouterr()
     assert main(["strong", "--suite", "phi", "--n", "3", "--h", "3"]) == 2
     _assert_one_line_error(capsys)
-    # refused before delta(1, n) and its 2**n - 1 members are built
+    # refused before phi(n) and its AND-closure of up to 2**n keys are built
     assert main(["strong", "--suite", "phi", "--n", str(PHI_MAX_N + 1), "--h", "3"]) == 2
     _assert_one_line_error(capsys)
 

@@ -229,10 +229,7 @@ def test_unary_below_identity():
 def test_unary_dom_img_mask():
     f = PartialUnaryFn(4, (None, 3, None, 1))
     assert f.dom == (1, 3)
-    assert f.dom_mask == 0b1010
     assert f.img == frozenset({1, 3})
-    assert f.defined_at(1) and not f.defined_at(0)
-    assert f.value_at(3) == 1
 
 
 def test_unary_apply_tuple():

@@ -26,15 +26,18 @@ from rigidrel.preserve import (
 LEQ2 = Relation.from_tuples(2, 2, [(0, 0), (0, 1), (1, 1)])
 
 
-def _naive_unary(f: PartialUnaryFn, rho: Relation) -> bool:
+def _naive_unary(f: PartialUnaryFn, rho: Relation) -> PreservationVerdict:
     """Definition, spelled out: every member column inside dom(f) must map
-    back into the relation."""
+    back into the relation.  product() walks the h-tuples in lex order,
+    which is rank order, so the certificate is the rank-least violating
+    member."""
     dom = set(f.dom)
-    for col in rho.members:
-        if all(e in dom for e in col):
-            if f.apply_tuple(col) not in rho:
-                return False
-    return True
+    for col in itertools.product(range(rho.k), repeat=rho.h):
+        if col in rho and all(e in dom for e in col):
+            image = f.apply_tuple(col)
+            if image not in rho:
+                return PreservationVerdict(False, ViolationCertificate((col,), image))
+    return PreservationVerdict(True)
 
 
 def _first_violation(f: PartialFn, rho: Relation) -> PreservationVerdict:
@@ -115,18 +118,21 @@ def test_check_certificate_rejects_single_field_tamperings():
 def test_unary_preserves_matches_naive_exhaustively():
     rng = random.Random(11)
     cases = []
-    for k, h in ((2, 2), (2, 3), (3, 2)):
+    for k, h in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
         total = k**h
         for _ in range(12):
             bits = rng.randrange(1, 2**total)
             nbytes = (total + 7) // 8
             cases.append(Relation(k, h, bits.to_bytes(nbytes, "little")))
+    negatives = 0
     for rho in cases:
         for f in all_partial_unary(rho.k):
             verdict = unary_preserves(f, rho)
-            assert verdict.preserved == _naive_unary(f, rho)
+            assert verdict == _naive_unary(f, rho), (f, rho)
             if not verdict.preserved:
+                negatives += 1
                 assert check_certificate(verdict.certificate, f, rho)
+    assert negatives >= 1000  # so certificates, not only verdicts, are compared
 
 
 def test_unary_preserves_empty_function_is_vacuous():
@@ -232,7 +238,7 @@ def test_ppol1_matches_naive_filter():
             bits = rng.randrange(1, 2**total)
             rho = Relation(k, h, bits.to_bytes((total + 7) // 8, "little"))
             expected = frozenset(
-                f for f in all_partial_unary(k) if _naive_unary(f, rho)
+                f for f in all_partial_unary(k) if _naive_unary(f, rho).preserved
             )
             assert ppol1(rho) == expected
 

@@ -510,6 +510,20 @@ def test_prefix_escape():
         assert not is_trivial(f)
 
 
+def test_phi_library_checks_refuse_above_phi_max_n(monkeypatch):
+    assert prefix_escape(PHI_MAX_N - 1).n == PHI_MAX_N
+
+    def unbounded(f):
+        raise AssertionError("closure built past the guard")
+
+    monkeypatch.setattr(strongrigid, "_agreement_depth", unbounded)
+    monkeypatch.setattr(strongrigid, "_break_levels", unbounded)
+    with pytest.raises(CapacityError):
+        phi_preserves_all(PHI_MAX_N + 1, 3)
+    with pytest.raises(CapacityError):
+        prefix_escape(PHI_MAX_N)  # its separator is phi(PHI_MAX_N + 1)
+
+
 def test_limit_is_trivial_clone_arity_two():
     assert limit_is_trivial_clone(2)
 
