@@ -59,9 +59,16 @@ def _dump(obj) -> str:
 
 def _classify_chunk(task) -> tuple:
     """Classify ranks start .. stop - 1; return their JSONL lines as one
-    string and the number of rigid relations among them."""
+    string and the number of rigid relations among them.
+
+    Each line is written from a template: its head is fixed for the sweep,
+    and its tail depends only on the failing function (None when rigid),
+    of which a sweep has few, so each tail is dumped once and cached.
+    The lines are byte-identical to dumping each record as a dict."""
     k, h, ell, start, stop, timing = task
     nbytes = (k**h + 7) // 8
+    head = f'{{"k":{k},"h":{h},"ell":{ell},"relation_rank":'
+    tails: dict = {}
     lines = []
     rigid = 0
     for rank in range(start, stop):
@@ -69,26 +76,16 @@ def _classify_chunk(task) -> tuple:
         rho = Relation(k, h, rank.to_bytes(nbytes, "little"))
         report = is_hereditarily_ell_rigid(rho, ell)
         micros = int((time.perf_counter() - began) * 1e6) if timing else 0
-        fn = (
-            None
-            if report.failing_function is None
-            else report.failing_function.to_json()
-        )
-        rigid += report.verdict
-        lines.append(
-            _dump(
-                {
-                    "k": k,
-                    "h": h,
-                    "ell": ell,
-                    "relation_rank": rank,
-                    "verdict": report.verdict,
-                    "failing_function": fn,
-                    "elapsed_micros": micros,
-                }
+        fn = report.failing_function
+        key = None if fn is None else fn.table
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = (
+                f',"verdict":{_dump(report.verdict)},"failing_function":'
+                f'{_dump(None if fn is None else fn.to_json())},"elapsed_micros":'
             )
-            + "\n"
-        )
+        rigid += report.verdict
+        lines.append(f"{head}{rank}{tail}{micros}}}\n")
     return "".join(lines), rigid
 
 

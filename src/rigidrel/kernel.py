@@ -147,6 +147,16 @@ def mask_bits(mask: int):
     return tuple(out)
 
 
+def mask_ranks(mask: bytes):
+    """Set bit positions of a little-endian byte mask, ascending, lazily:
+    a caller that stops early never scans the rest of the mask."""
+    for i, byte in enumerate(mask):
+        if byte:
+            base = i << 3
+            for b in _BYTE_BITS[byte]:
+                yield base + b
+
+
 @dataclass(frozen=True)
 class Relation:
     """Finite relation of arity h over {0..k-1}, stored as a dense bit-mask."""
@@ -220,13 +230,7 @@ class Relation:
     @cached_property
     def ranks(self):
         """Member ranks, ascending."""
-        out = []
-        for i, byte in enumerate(self.mask):
-            if byte:
-                base = i << 3
-                for b in _BYTE_BITS[byte]:
-                    out.append(base + b)
-        return tuple(out)
+        return tuple(mask_ranks(self.mask))
 
     @cached_property
     def members(self):

@@ -25,6 +25,7 @@ from .kernel import (
     all_partial_unary,
     image_size,
     mask_bits,
+    mask_ranks,
     subsets_colex,
     tuple_rank,
     tuple_unrank,
@@ -177,6 +178,26 @@ def _small_kernels(k: int, h: int, ell: int) -> tuple:
     )
 
 
+@lru_cache(maxsize=4096)
+def _member_shape(k: int, h: int, r: int) -> tuple:
+    """The kernel of the tuple u of rank r, and the weights w of its
+    sorted support: the map sending that support to vals sends u to the
+    rank sum(vals[j] * w[j])."""
+    u = tuple_unrank(r, h, k)
+    w = [sum(k ** (h - 1 - i) for i, e in enumerate(u) if e == s) for s in sorted(set(u))]
+    return _kernel(u), tuple(w)
+
+
+@lru_cache(maxsize=1024)
+def _omega_failure(k: int, h: int, r: int, vals: tuple) -> RigidityReport:
+    """The omega failure of the member of rank r under the map that sends
+    its sorted support to vals; zip ignores values beyond the support.
+    Reports are frozen, so the relations that fail alike share one."""
+    u = tuple_unrank(r, h, k)
+    f = PartialUnaryFn.from_pairs(k, zip(sorted(set(u)), vals))
+    return RigidityReport(False, f, "omega", u)
+
+
 def omega_contained(rho: Relation, ell: int) -> RigidityReport:
     """Check that every small function preserves rho.
 
@@ -192,12 +213,12 @@ def omega_contained(rho: Relation, ell: int) -> RigidityReport:
     _require_usable(rho, ell)
     k, h, mask = rho.k, rho.h, rho.mask
     if ell == 2:  # the one small kernel is the constant one: test the diagonal
-        for c in range(k):
-            if not rho.contains_rank(tuple_rank((c,) * h, k)):
+        step = (k**h - 1) // (k - 1)  # the rank of (1, ..., 1)
+        for r in range(0, k * step, step):
+            if not mask[r >> 3] >> (r & 7) & 1:
                 i = len(mask) - len(mask.lstrip(b"\0"))  # first member: lowest set bit
-                u = tuple_unrank(8 * i + (mask[i] & -mask[i]).bit_length() - 1, h, k)
-                g = PartialUnaryFn.constant_map(k, c, set(u))
-                return RigidityReport(False, g, "omega", u)
+                first = 8 * i + (mask[i] & -mask[i]).bit_length() - 1
+                return _omega_failure(k, h, first, (r // step,) * h)
         return RigidityReport(True)
     missing = [
         kernel
@@ -207,18 +228,16 @@ def omega_contained(rho: Relation, ell: int) -> RigidityReport:
     if not missing:
         return RigidityReport(True)
     fails: dict = {}
-    for r in rho.ranks:
-        u = tuple_unrank(r, h, k)
-        kappa = _kernel(u)
+    for r in mask_ranks(mask):
+        kappa, w = _member_shape(k, h, r)
         if kappa not in fails:
             fails[kappa] = any(_coarsens(m, kappa) for m in missing)
         if fails[kappa]:
-            support = sorted(set(u))
-            for vals in itertools.product(range(k), repeat=len(support)):
-                g = dict(zip(support, vals))
-                if len(set(vals)) < ell and tuple(g[e] for e in u) not in rho:
-                    f = PartialUnaryFn.from_pairs(k, g.items())
-                    return RigidityReport(False, f, "omega", u)
+            for vals in itertools.product(range(k), repeat=len(w)):
+                if len(set(vals)) < ell:
+                    t = sum(map(mul, vals, w))
+                    if not mask[t >> 3] >> (t & 7) & 1:
+                        return _omega_failure(k, h, r, vals)
     return RigidityReport(True)
 
 

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, formats, determinism."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -290,6 +291,50 @@ def test_classify_timing_flag(tmp_path, capsys):
     capsys.readouterr()
     records = [json.loads(line) for line in out_file.read_text().splitlines()]
     assert any(r["elapsed_micros"] > 0 for r in records)
+
+
+# SHA-256 of the whole JSONL of a sweep, as the per-record json.dumps wrote it
+CLASSIFY_SHA256 = {
+    (2, 3, 2): "15417bd32eee623ba1fbdd3f7135ef0baeaa394f9709539d98e3c98dab3027b3",
+    (3, 2, 3): "2898125bea04d7141e15ee562abd16c14ec03280053014e50cfbac16c1402033",
+}
+
+
+@pytest.mark.parametrize("k,h,ell", [(2, 3, 2), (3, 2, 2), (3, 2, 3), (2, 2, 1)])
+def test_classify_lines_are_byte_exact(k, h, ell, tmp_path, capsys):
+    # each line is the compact dump of the record rebuilt from the library
+    argv = ["classify", "--k", str(k), "--h", str(h), "--ell", str(ell)]
+    out_file = tmp_path / "c.jsonl"
+    assert main(argv + ["--out", str(out_file)]) == 0
+    data = out_file.read_bytes()
+    lines = data.decode().splitlines(keepends=True)
+    assert len(lines) == 2 ** (k**h) - 1
+    nbytes = (k**h + 7) // 8
+    for rank, line in enumerate(lines, 1):
+        report = is_hereditarily_ell_rigid(Relation(k, h, rank.to_bytes(nbytes, "little")), ell)
+        fn = report.failing_function
+        record = {
+            "k": k,
+            "h": h,
+            "ell": ell,
+            "relation_rank": rank,
+            "verdict": report.verdict,
+            "failing_function": None if fn is None else fn.to_json(),
+            "elapsed_micros": 0,
+        }
+        assert line == json.dumps(record, separators=(",", ":")) + "\n"
+    if (k, h, ell) in CLASSIFY_SHA256:
+        assert hashlib.sha256(data).hexdigest() == CLASSIFY_SHA256[k, h, ell]
+    # with --timing only elapsed_micros moves, and each line stays a compact dump
+    assert main(argv + ["--timing", "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    timed = out_file.read_text().splitlines(keepends=True)
+    assert len(timed) == len(lines)
+    for line, old in zip(timed, lines):
+        record = json.loads(line)
+        assert line == cli._dump(record) + "\n"
+        assert isinstance(record["elapsed_micros"], int)
+        assert cli._dump(dict(record, elapsed_micros=0)) + "\n" == old
 
 
 # -- bounds -----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from rigidrel.kernel import (
     is_partial_projection,
     is_trivial,
     mask_bits,
+    mask_ranks,
     subsets_colex,
     tuple_rank,
     tuple_unrank,
@@ -157,6 +158,18 @@ def test_relation_membership():
     assert rho.contains_rank(tuple_rank((0, 1), 3))
     with pytest.raises(EncodingError):
         rho.contains_rank(9)
+
+
+def test_mask_ranks_walks_set_bits_lazily():
+    rng = random.Random(11)
+    for nbytes in (1, 2, 5, 40):
+        mask = bytes(rng.choice((0, 0, 1, 128, 255, rng.randrange(256))) for _ in range(nbytes))
+        bits = int.from_bytes(mask, "little")
+        assert list(mask_ranks(mask)) == [r for r in range(8 * nbytes) if bits >> r & 1]
+    # the lowest set bit comes first, past a leading run of zero bytes
+    assert next(mask_ranks(bytes([0, 0, 0b100]) + bytes(10**6))) == 18
+    rho = Relation.from_ranks(3, 3, (0, 7, 8, 9, 26))
+    assert rho.ranks == tuple(mask_ranks(rho.mask)) == (0, 7, 8, 9, 26)
 
 
 def test_relation_support_index_reconstructs_members():

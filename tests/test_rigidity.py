@@ -400,6 +400,41 @@ def _first_omega_failure(rho: Relation, ell: int):
     return None
 
 
+def _assert_omega_canonical(rho: Relation, ell: int):
+    report = omega_contained(rho, ell)
+    expected = _first_omega_failure(rho, ell)
+    if expected is None:
+        assert report.verdict and report.failing_function is None
+        return
+    f, u = expected
+    assert not report.verdict
+    got = (report.failing_side, report.failing_function.table, report.witness)
+    assert got == ("omega", f.table, u)
+
+
+@pytest.mark.parametrize("k,h,ell", [(3, 2, 2), (2, 3, 2), (3, 2, 3)])
+def test_omega_failure_canonical_exhaustive(k, h, ell):
+    for bits in range(1, 2 ** (k**h)):
+        _assert_omega_canonical(Relation(k, h, bits.to_bytes((k**h + 7) // 8, "little")), ell)
+
+
+@pytest.mark.parametrize("k,h,ell", [(3, 3, 3), (4, 2, 3), (4, 2, 4)])
+def test_omega_failure_canonical_sampled(k, h, ell):
+    # a third of the sample holds every low-diversity tuple, so omega
+    # containment holds; another third misses one of them, so only members
+    # whose kernel that tuple coarsens fail, and the walk may pass others
+    rng = random.Random(100 * k + 10 * h + ell)
+    low = sorted(beta_lt(ell, h, range(k)))
+    for i in range(300):
+        members = set(_random_relation(rng, k, h).members)
+        if i % 3:
+            members |= set(low)
+        if i % 3 == 2:
+            members.discard(rng.choice(low))
+        if members:
+            _assert_omega_canonical(Relation.from_tuples(k, h, members), ell)
+
+
 def _assert_canonical_witness(rho: Relation, ell: int, psi: list):
     report = is_hereditarily_ell_rigid(rho, ell)
     omega = _first_omega_failure(rho, ell)

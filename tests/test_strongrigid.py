@@ -179,6 +179,20 @@ def test_limit_sweep_decides_triviality_once_per_function(monkeypatch):
     assert len(calls) == 6651
 
 
+def test_limit_sweep_tests_family_membership_once_per_trivial_function(monkeypatch):
+    # membership is a threshold in h, so the top arity 2**3 decides it
+    calls = []
+
+    def counting(levels, h):
+        calls.append(h)
+        return _in_family(levels, h)
+
+    monkeypatch.setattr(strongrigid, "_in_family", counting)
+    assert limit_is_trivial_clone(3)
+    trivial = sum(is_trivial(f) for n in (1, 2, 3) for f in all_partial_fns(2, n))
+    assert calls == [8] * trivial == [8] * 1216
+
+
 # delta_preserves certificates as the forward pass picked them before the
 # verdict moved to the closure levels: (t, h) -> columns, None if preserved
 PINNED_CERTIFICATES = {
