@@ -13,8 +13,8 @@ functions.
 from .kernel import (
     CapacityError, DomainMismatchError, EncodingError, PartialFn,
     PartialUnaryFn, Relation, all_partial_fns, all_partial_unary, beta,
-    beta_lt, image_size, is_partial_constant, is_partial_projection,
-    is_trivial, tuple_rank, tuple_unrank,
+    beta_lt, is_partial_constant, is_partial_projection, is_trivial,
+    tuple_rank, tuple_unrank,
 )
 from .preserve import (
     PreservationVerdict, ViolationCertificate, check_certificate, ppol1,
@@ -22,15 +22,15 @@ from .preserve import (
 )
 from .rigidity import (
     EmptyRelationError, RigidityReport, TraceMap,
-    brute_force_rigidity, enumerate_psi, f_arrow, is_hereditarily_ell_rigid,
-    omega_contained, omega_member, orbit_closure, trace,
-    trace_incomparability, verify_report,
+    brute_force_rigidity, f_arrow, is_hereditarily_ell_rigid,
+    omega_contained, omega_member, trace, trace_incomparability,
+    verify_report,
 )
 from .construct import (
     AbstractTrace, BoundError, ConstructionError, TraceError, bound_sides,
-    construct_2rigid, construct_ellrigid, dual_2, exists_2rigid,
-    falling_factorial, max_k_2rigid, r_bounds, rho_from_trace,
-    sperner_bound_holds, surjection_count,
+    construct_2rigid, construct_ellrigid, exists_2rigid, falling_factorial,
+    max_k_2rigid, r_bounds, rho_from_trace, sperner_bound_holds,
+    surjection_count,
 )
 from .strongrigid import (
     NontrivialityWitness, NoWitnessError, chain_inclusion, delta,
@@ -42,18 +42,18 @@ from .strongrigid import (
 __all__ = [
     "CapacityError", "DomainMismatchError", "EncodingError", "PartialFn",
     "PartialUnaryFn", "Relation", "all_partial_fns", "all_partial_unary",
-    "beta", "beta_lt", "image_size", "is_partial_constant",
-    "is_partial_projection", "is_trivial", "tuple_rank", "tuple_unrank",
+    "beta", "beta_lt", "is_partial_constant", "is_partial_projection",
+    "is_trivial", "tuple_rank", "tuple_unrank",
     "PreservationVerdict", "ViolationCertificate", "check_certificate",
     "ppol1", "preserves", "unary_preserves",
     "EmptyRelationError", "RigidityReport", "TraceMap",
-    "brute_force_rigidity", "enumerate_psi", "f_arrow",
-    "is_hereditarily_ell_rigid", "omega_contained", "omega_member",
-    "orbit_closure", "trace", "trace_incomparability", "verify_report",
+    "brute_force_rigidity", "f_arrow", "is_hereditarily_ell_rigid",
+    "omega_contained", "omega_member", "trace", "trace_incomparability",
+    "verify_report",
     "AbstractTrace", "BoundError", "ConstructionError", "TraceError",
-    "bound_sides", "construct_2rigid", "construct_ellrigid", "dual_2",
-    "exists_2rigid", "falling_factorial", "max_k_2rigid", "r_bounds",
-    "rho_from_trace", "sperner_bound_holds", "surjection_count",
+    "bound_sides", "construct_2rigid", "construct_ellrigid", "exists_2rigid",
+    "falling_factorial", "max_k_2rigid", "r_bounds", "rho_from_trace",
+    "sperner_bound_holds", "surjection_count",
     "NontrivialityWitness", "NoWitnessError", "chain_inclusion", "delta",
     "delta_preserves", "excluded_tuple", "limit_is_trivial_clone", "phi",
     "phi_preserves_all", "prefix_escape", "repeat_identifies",

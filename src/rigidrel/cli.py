@@ -37,8 +37,8 @@ from .kernel import (
 )
 from .rigidity import is_hereditarily_ell_rigid
 from .strongrigid import (
-    PHI_MAX_N,
     NoWitnessError,
+    _require_phi_arity,
     chain_inclusion,
     delta_preserves,
     limit_is_trivial_clone,
@@ -257,11 +257,7 @@ def cmd_strong(args) -> int:
     if args.suite == "phi":
         n = args.n
         h = args.h if args.h is not None else n - 1
-        if n > PHI_MAX_N:
-            raise CapacityError(
-                f"--suite phi builds an AND-closure of up to 2**n keys "
-                f"and requires n <= {PHI_MAX_N}, got n={n}"
-            )
+        _require_phi_arity(n)
         f = phi(n)
         nontrivial = not is_trivial(f)
         below = phi_preserves_all(n, h)

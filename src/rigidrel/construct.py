@@ -20,13 +20,11 @@ from .kernel import (
     CapacityError,
     Relation,
     _surjective_patterns,
-    mask_bits,
     rank_count,
     subsets_colex,
 )
 from .rigidity import (
     RigidityReport,
-    TraceMap,
     _bit_map,
     _pattern_weights,
     _relabellings,
@@ -164,19 +162,6 @@ def _ground_size(ell: int, h: int) -> int:
     return s if ell == 2 else s - math.factorial(ell)
 
 
-def dual_2(x_set) -> frozenset:
-    """Swap the two pattern symbols in every member pattern; the members
-    must be surjective two-symbol patterns of one length."""
-    h = len(next(iter(x_set), ()))
-    m = AbstractTrace.from_dict(2, h, 2, {(0, 1): x_set}).masks[0][1]
-    patterns = _surjective_patterns(h, 2)
-    if m >> len(patterns):
-        raise ValueError("dual is defined for two-symbol patterns only")
-    return frozenset(
-        patterns[i] for i in mask_bits(_relabellings(2, h)[1][1](m))
-    )
-
-
 @dataclass(frozen=True)
 class AbstractTrace:
     """A synthetic trace assignment, to be validated before use: a mask
@@ -200,10 +185,6 @@ class AbstractTrace:
             for x, v in mapping.items()
         )
         return cls(ell, h, k, tuple(masks))
-
-    @classmethod
-    def from_trace_map(cls, tm: TraceMap) -> "AbstractTrace":
-        return cls.from_dict(tm.ell, tm.h, tm.k, tm.as_dict)
 
     def validate(self) -> None:
         """Raise TraceError unless the assignment is total over the

@@ -77,11 +77,6 @@ def tuple_unrank(rank: int, arity: int, k: int):
     return tuple(out)
 
 
-def image_size(entries) -> int:
-    """Number of distinct entries."""
-    return len(set(entries))
-
-
 @lru_cache(maxsize=None)
 def _surjective_patterns(n: int, m: int):
     """All n-tuples over range(m) using every value, sorted lexicographically."""

@@ -23,11 +23,9 @@ from .kernel import (
     Relation,
     _surjective_patterns,
     all_partial_unary,
-    image_size,
     mask_bits,
     mask_ranks,
     subsets_colex,
-    tuple_rank,
     tuple_unrank,
 )
 from .preserve import ppol1, unary_preserves
@@ -49,24 +47,6 @@ def omega_member(f: PartialUnaryFn, ell: int) -> bool:
     if not 1 <= ell <= f.k:
         raise ValueError(f"need 1 <= ell <= k, got ell={ell}, k={f.k}")
     return f.below_identity or len(f.img) < ell
-
-
-def enumerate_psi(k: int, ell: int):
-    """Injective unary partial functions with |dom| = ell not below identity.
-
-    Domains come in increasing subset-rank order, values in lexicographic
-    order; there are C(k, ell) * (falling_factorial(k, ell) - 1) of them.
-    """
-    if not 1 <= ell <= k:
-        raise ValueError(f"need 1 <= ell <= k, got ell={ell}, k={k}")
-    out = []
-    for dmask in subsets_colex(k, ell):
-        points = mask_bits(dmask)
-        for vals in itertools.permutations(range(k), ell):
-            if vals == points:
-                continue
-            out.append(PartialUnaryFn.from_pairs(k, zip(points, vals)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -241,36 +221,6 @@ def omega_contained(rho: Relation, ell: int) -> RigidityReport:
     return RigidityReport(True)
 
 
-def orbit_closure(rho: Relation, ell: int) -> Relation:
-    """Close rho under all unary images of its low-diversity members.
-
-    Members with fewer than ell distinct entries are pushed through every
-    unary partial function defined on their entries; the result contains
-    rho and is a fixed point for hereditarily ell-rigid relations.
-    """
-    _require_usable(rho, ell)
-    low = {_kernel(u) for u in rho.members if image_size(u) < ell}
-    ranks = set(rho.ranks)
-    for kernel, tuples in _small_kernels(rho.k, rho.h, ell):
-        if any(_coarsens(kernel, kappa) for kappa in low):
-            ranks.update(tuples)
-    return Relation.from_ranks(rho.k, rho.h, ranks)
-
-
-def _report_no_one_rigid(rho: Relation) -> RigidityReport:
-    """For ell = 1 a one-point constant always preserves, so never rigid."""
-    k, h = rho.k, rho.h
-    for a in range(k):
-        if not rho.contains_rank(tuple_rank((a,) * h, k)):
-            b = 0 if a else 1
-            f = PartialUnaryFn.constant_map(k, b, (a,))
-            break
-    else:
-        f = PartialUnaryFn.constant_map(k, 1, (0,))
-    assert unary_preserves(f, rho).preserved
-    return RigidityReport(False, f, "psi", None)
-
-
 def _trace_masks(rho: Relation, ell: int) -> dict:
     """The trace of every injective ell-tuple as a bitmask: bit i is set
     when the i-th sorted surjective pattern, composed with the tuple, is a
@@ -323,13 +273,14 @@ def is_hereditarily_ell_rigid(rho: Relation, ell: int) -> RigidityReport:
     x -> y with domain size ell preserves rho exactly when trace(x) is a
     subset of trace(y), so rho is rigid iff its traces are strictly
     incomparable.  Otherwise the failing function is the first preserving
-    one with domains in colex order and values in lex order.  No relation
-    is hereditarily 1-rigid, and arities below ell fail with all traces
-    empty.
+    one with domains in colex order and values in lex order.  Every ell
+    runs this one path.  At ell = 1 there is no small kernel, so omega
+    containment holds, and each trace is one bit, for the constant
+    pattern; of k >= 2 one-bit masks two are equal or one is empty, so no
+    relation is hereditarily 1-rigid.  Arities below ell fail with all
+    traces empty.
     """
     _require_usable(rho, ell)
-    if ell == 1:
-        return _report_no_one_rigid(rho)
     contained = omega_contained(rho, ell)
     if not contained.verdict:
         return contained

@@ -11,9 +11,9 @@ import pytest
 
 from rigidrel import cli
 from rigidrel.cli import main
-from rigidrel.kernel import PartialFn, Relation
+from rigidrel.kernel import CapacityError, PartialFn, Relation
 from rigidrel.rigidity import is_hereditarily_ell_rigid
-from rigidrel.strongrigid import PHI_MAX_N
+from rigidrel.strongrigid import PHI_MAX_N, _require_phi_arity
 
 LEQ2 = Relation.from_tuples(2, 2, [(0, 0), (0, 1), (1, 1)])
 
@@ -429,7 +429,9 @@ def test_strong_phi(capsys):
     _assert_one_line_error(capsys)
     # refused before phi(n) and its AND-closure of up to 2**n keys are built
     assert main(["strong", "--suite", "phi", "--n", str(PHI_MAX_N + 1), "--h", "3"]) == 2
-    _assert_one_line_error(capsys)
+    with pytest.raises(CapacityError) as info:
+        _require_phi_arity(PHI_MAX_N + 1)
+    assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
 def test_strong_witness(tmp_path, capsys):

@@ -19,7 +19,6 @@ from rigidrel.construct import (
     bound_sides,
     construct_2rigid,
     construct_ellrigid,
-    dual_2,
     exists_2rigid,
     falling_factorial,
     max_k_2rigid,
@@ -141,23 +140,13 @@ def test_middle_layer_fit_from_bit_lengths():
         construct_2rigid(3, 100000)  # the bound holds; the relation is too large
 
 
-# -- antichains ----------------------------------------------------------------
-
-
-def test_dual_2_swaps_symbols():
-    x = frozenset({(0, 0, 1), (0, 1, 1)})
-    assert dual_2(x) == frozenset({(1, 1, 0), (1, 0, 0)})
-    odd = frozenset({(0, 1)})
-    assert dual_2(odd) != odd
-
-
 # -- abstract traces -----------------------------------------------------------
 
 
 def test_abstract_trace_round_trip_from_real_trace():
     rho = construct_2rigid(2, 2)
     tm = trace(rho, 2)
-    at = AbstractTrace.from_trace_map(tm)
+    at = AbstractTrace.from_dict(tm.ell, tm.h, tm.k, tm.as_dict)
     at.validate()
     assert at.values_strictly_incomparable()
     assert rho_from_trace(at) == rho
@@ -268,7 +257,9 @@ def test_equivariance_error_names_first_tuple_and_permutation():
 def test_rho_from_trace_round_trip_ell3():
     for k in (4, 5):
         rho = construct_ellrigid(k, 3, 4)
-        assert rho_from_trace(AbstractTrace.from_trace_map(trace(rho, 3))) == rho
+        tm = trace(rho, 3)
+        at = AbstractTrace.from_dict(tm.ell, tm.h, tm.k, tm.as_dict)
+        assert rho_from_trace(at) == rho
 
 
 def test_values_strictly_incomparable_detects_containment():
@@ -305,7 +296,7 @@ def test_construct_2rigid_sizes_and_verification():
         assert rho.size == size
         assert is_hereditarily_ell_rigid(rho, 2).verdict
         tm = trace(rho, 2)
-        at = AbstractTrace.from_trace_map(tm)
+        at = AbstractTrace.from_dict(tm.ell, tm.h, tm.k, tm.as_dict)
         at.validate()
         assert at.values_strictly_incomparable()
 
@@ -325,7 +316,7 @@ def test_construct_2rigid_duality():
     rho = construct_2rigid(5, 3)
     tm = trace(rho, 2)
     for a, b in itertools.permutations(range(5), 2):
-        assert tm[(b, a)] == dual_2(tm[(a, b)])
+        assert tm[(b, a)] == {tuple(1 - e for e in p) for p in tm[(a, b)]}
 
 
 def test_construct_2rigid_bound_errors():

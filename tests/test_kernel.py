@@ -17,7 +17,6 @@ from rigidrel.kernel import (
     all_partial_unary,
     beta,
     beta_lt,
-    image_size,
     is_partial_constant,
     is_partial_projection,
     is_trivial,
@@ -51,12 +50,6 @@ def test_rank_rejects_out_of_range_entries():
         tuple_rank((0, 2), 2)
     with pytest.raises(EncodingError):
         tuple_rank((-1,), 3)
-
-
-def test_image_size():
-    assert image_size((0, 0, 0)) == 1
-    assert image_size((2, 0, 2, 1)) == 3
-    assert image_size(()) == 0
 
 
 def _brute_beta(m, n, base):

@@ -15,6 +15,8 @@ from rigidrel.kernel import (
     all_partial_unary,
     beta,
     beta_lt,
+    mask_bits,
+    subsets_colex,
 )
 from rigidrel.preserve import ppol1, unary_preserves
 from rigidrel.rigidity import (
@@ -22,12 +24,10 @@ from rigidrel.rigidity import (
     _trace_masks,
     RigidityReport,
     brute_force_rigidity,
-    enumerate_psi,
     f_arrow,
     is_hereditarily_ell_rigid,
     omega_contained,
     omega_member,
-    orbit_closure,
     trace,
     trace_incomparability,
     verify_report,
@@ -35,6 +35,19 @@ from rigidrel.rigidity import (
 
 LEQ2 = Relation.from_tuples(2, 2, [(0, 0), (0, 1), (1, 1)])
 GEQ2 = Relation.from_tuples(2, 2, [(0, 0), (1, 0), (1, 1)])
+
+
+def enumerate_psi(k: int, ell: int) -> list:
+    """Injective unary partial functions with |dom| = ell not below identity,
+    in the reference order of canonical witnesses: domains in colex order,
+    values in lexicographic order."""
+    out = []
+    for dmask in subsets_colex(k, ell):
+        points = mask_bits(dmask)
+        for vals in itertools.permutations(range(k), ell):
+            if vals != points:
+                out.append(PartialUnaryFn.from_pairs(k, zip(points, vals)))
+    return out
 
 
 def _random_relation(rng: random.Random, k: int, h: int) -> Relation:
@@ -237,28 +250,8 @@ def test_omega_contained_general_ell():
     rho = Relation.from_tuples(3, 2, [(0, 1), (1, 0)])
     report = omega_contained(rho, 3)
     assert not report.verdict  # collapsing (0,1) to (0,0) escapes
-    good = orbit_closure(rho, 3)
+    good = Relation.from_tuples(3, 2, set(rho.members) | beta_lt(3, 2, range(3)))
     assert omega_contained(good, 3).verdict
-
-
-def test_orbit_closure_examples():
-    one = Relation.from_tuples(2, 2, [(0, 0)])
-    assert orbit_closure(one, 2).members == ((0, 0), (1, 1))
-    diag = Relation.diagonal(2, 2)
-    assert orbit_closure(diag, 2) == diag
-
-
-def test_orbit_closure_superset_idempotent_fixedpoint():
-    rng = random.Random(29)
-    for k, h in ((2, 2), (3, 2), (3, 3)):
-        for ell in range(2, k + 1):
-            for _ in range(8):
-                rho = _random_relation(rng, k, h)
-                closed = orbit_closure(rho, ell)
-                assert set(rho.members) <= set(closed.members)
-                assert orbit_closure(closed, ell) == closed
-                if is_hereditarily_ell_rigid(rho, ell).verdict:
-                    assert closed == rho
 
 
 # -- traces -------------------------------------------------------------------
@@ -450,7 +443,9 @@ def _assert_canonical_witness(rho: Relation, ell: int, psi: list):
         assert report.failing_function == first
 
 
-@pytest.mark.parametrize("k,h,ell", [(2, 3, 2), (3, 2, 2), (4, 2, 3)])
+@pytest.mark.parametrize(
+    "k,h,ell", [(2, 3, 2), (3, 2, 2), (4, 2, 3), (3, 2, 1), (2, 3, 1)]
+)
 def test_canonical_witness_exhaustive(k, h, ell):
     psi = enumerate_psi(k, ell)
     for bits in range(1, 2 ** (k**h)):
@@ -470,6 +465,15 @@ def test_canonical_witness_sampled():
         if i % 2:
             rho = Relation.from_tuples(k, h, set(rho.members) | low)
         _assert_canonical_witness(rho, ell, psi)
+
+
+def test_canonical_witness_sampled_ell1():
+    # at ell = 1 only the k diagonal tuples matter, and 300 random
+    # relations cover each of their 16 patterns here
+    rng = random.Random(421)
+    psi = enumerate_psi(4, 1)
+    for _ in range(300):
+        _assert_canonical_witness(_random_relation(rng, 4, 2), 1, psi)
 
 
 @pytest.mark.parametrize("k,ell,h", [(5, 2, 3), (4, 3, 4)])
