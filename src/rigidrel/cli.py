@@ -336,15 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("mask", "tuples"), default="mask")
     p.set_defaults(func=cmd_construct)
 
-    try:
-        default_jobs = int(os.environ.get("RIGIDREL_JOBS", "1"))
-    except ValueError:
-        default_jobs = 0  # rejected later by the jobs >= 1 check
     p = sub.add_parser("classify", help="classify every nonempty relation at (k, h)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="JSONL destination (default: stdout)")
     p.add_argument("--summary", help="CSV summary destination")
     p.add_argument("--resume-from", type=int, default=1, dest="resume_from")

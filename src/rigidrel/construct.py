@@ -1,12 +1,17 @@
 """Building hereditarily rigid relations from antichains of index patterns.
 
-An abstract trace assigns to every injective ell-tuple a set of
-surjective index patterns, equivariantly under permutations of the
-pattern alphabet.  When the assigned sets are pairwise strictly
-incomparable, the relation they generate (all low-diversity tuples plus
-the realized patterns) is hereditarily ell-rigid.  Sperner's theorem
-bounds how large the base set can get; the constructors draw the sets
-from a middle layer of the pattern power set and verify the result.
+A trace assigns to every injective ell-tuple a set of surjective index
+patterns.  The traces of a relation are equivariant under permutations
+of the pattern alphabet, so the sets at the C(k, ell) increasing tuples
+fix the whole relation: all low-diversity tuples plus each increasing
+tuple composed with its patterns.  When the sets, with their images
+under the permutations, are pairwise strictly incomparable, that
+relation is hereditarily ell-rigid.  Sperner's theorem bounds how large
+the base set can get.  The constructors pick the sets of the increasing
+tuples from a middle layer of the pattern power set, compose the
+relation from them, and verify it once, from its members.  AbstractTrace
+and its validate serve user-supplied traces, which give every injective
+tuple.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .rigidity import (
     _pattern_weights,
     _relabellings,
     _small_kernels,
-    comparable_masks,
     is_hereditarily_ell_rigid,
 )
 
@@ -94,19 +98,12 @@ def surjection_count(n: int, ell: int) -> int:
 
 def sperner_bound_holds(k: int, ell: int, h: int) -> bool:
     """Necessary condition for existence: injective ell-tuples must fit
-    into the widest antichain over the surjective index patterns."""
+    into the widest antichain over the surjective index patterns.  At
+    ell = 2 it is exact, k(k-1) <= C(2**h - 2, 2**(h-1) - 1), as there are
+    2**h - 2 surjections from an h-set onto a 2-set."""
     if k < 2 or ell < 1 or h < 1:
         raise ValueError("need k >= 2, ell >= 1, h >= 1")
     return _fits_middle_layer(falling_factorial(k, ell), surjection_count(h, ell))
-
-
-def exists_2rigid(k: int, h: int) -> bool:
-    """Exact existence criterion at ell = 2: k(k-1) <= C(2**h - 2, 2**(h-1) - 1).
-
-    This is sperner_bound_holds at ell = 2, as there are 2**h - 2
-    surjections from an h-set onto a 2-set.
-    """
-    return sperner_bound_holds(k, 2, h)
 
 
 def _fits_middle_layer(need: int, m: int) -> bool:
@@ -164,7 +161,7 @@ def _ground_size(ell: int, h: int) -> int:
 
 @dataclass(frozen=True)
 class AbstractTrace:
-    """A synthetic trace assignment, to be validated before use: a mask
+    """A user-supplied trace assignment, to be validated before use: a mask
     per injective ell-tuple, in the bit order of rigidity's trace masks
     (bit i is the i-th sorted surjective pattern; bits past those stand
     for patterns that are not surjective)."""
@@ -210,10 +207,6 @@ class AbstractTrace:
                         f"not equivariant at {x} under permutation {perm}"
                     )
 
-    def values_strictly_incomparable(self) -> bool:
-        """No trace contained in (or equal to) another trace's set."""
-        return not comparable_masks(m for _, m in self.masks)
-
 
 def rho_from_trace(tr: AbstractTrace) -> Relation:
     """Relation generated by an abstract trace: every tuple with fewer
@@ -222,12 +215,17 @@ def rho_from_trace(tr: AbstractTrace) -> Relation:
     carrying the relabelled patterns gives the same members, so only the
     increasing tuples are composed, each member once."""
     tr.validate()
-    ell, h, k = tr.ell, tr.h, tr.k
+    table = dict(tr.masks)
+    increasing = itertools.combinations(range(tr.k), tr.ell)
+    return _compose(tr.k, tr.h, tr.ell, ((x, table[x]) for x in increasing))
+
+
+def _compose(k: int, h: int, ell: int, picks) -> Relation:
+    """Every tuple with fewer than ell distinct entries, plus each set bit
+    of each (x, mask) pair of picks composed with the tuple x."""
     weights = [w for _, w in _pattern_weights(k, h, ell)]
     ranks = [r for _, low in _small_kernels(k, h, ell) for r in low]
-    table = dict(tr.masks)
-    for x in itertools.combinations(range(k), ell):
-        m = table[x]
+    for x, m in picks:
         while m:
             low = m & -m
             ranks.append(sum(map(mul, x, weights[low.bit_length() - 1])))
@@ -240,11 +238,11 @@ def construct_2rigid(k: int, h: int) -> Relation:
 
     Each unordered pair {a, b}, in lexicographic order, gets the first
     fresh set of the middle layer over the two-symbol surjective patterns,
-    in colex order, and the reversed pair gets its dual (see _assign).
-    The dual pairs the patterns off, and each set has an odd number
-    2**(h-1) - 1 of them, so no set is its own dual.  The counting
-    criterion is checked up front and the result is re-verified before
-    being returned.
+    in colex order (see _assign); in the composed relation the reversed
+    pair carries its dual.  The dual pairs the patterns off, and each set
+    has an odd number 2**(h-1) - 1 of them, so no set is its own dual.
+    The counting criterion is checked up front and the composed relation
+    is verified before being returned.
     """
     if k < 2 or h < 1:
         raise ValueError("need k >= 2, h >= 1")
@@ -255,19 +253,19 @@ def construct_2rigid(k: int, h: int) -> Relation:
             f"k(k-1) = {need} > C({s},{s // 2}) = {math.comb(s, s // 2)}"
         )
     rank_count(k, h)  # refuse before any work a relation too large to hold
-    return _built(_assign(k, 2, h, subsets_colex(s, s // 2), 0))
+    return _built(k, 2, h, _assign(k, 2, h, subsets_colex(s, s // 2), 0))
 
 
 def construct_ellrigid(k: int, ell: int, h: int) -> Relation:
     """Build and verify a hereditarily ell-rigid relation for ell >= 3.
 
     The first pattern y and its orbit under alphabet permutations are held
-    back: the bit of y, moved by each permutation, tags the sets of the
-    reordered tuples.  Each increasing ell-subset of the base set gets the
-    first set, from the middle layer over the remaining patterns in colex
-    order, whose orbit is free and not yet taken; the reordered tuples get
-    its images (see _assign).  The relation is re-verified before being
-    returned.
+    back: each picked set is tagged with the bit of y, which a reordered
+    tuple carries moved by its permutation.  Each increasing ell-subset of
+    the base set gets the first set, from the middle layer over the
+    remaining patterns in colex order, whose orbit is free and not yet
+    taken (see _assign); in the composed relation the reordered tuples
+    carry its images.  The relation is verified before being returned.
     """
     if ell < 3:
         raise ValueError("construct_ellrigid needs ell >= 3 (ell = 2 has its own constructor)")
@@ -290,15 +288,16 @@ def construct_ellrigid(k: int, ell: int, h: int) -> Relation:
     ground = [i for i in range(n) if 1 << i not in y_orbit]
     where = dict(zip(ground, range(m)))
     spread = _bit_map([where.get(i) for i in range(n)], m)
-    return _built(_assign(k, ell, h, map(spread, subsets_colex(m, m // 2)), 1))
+    return _built(k, ell, h, _assign(k, ell, h, map(spread, subsets_colex(m, m // 2)), 1))
 
 
-def _built(tr: AbstractTrace) -> Relation:
-    """The relation of a constructed trace, re-verified from its members."""
-    if not tr.values_strictly_incomparable():
-        raise ConstructionError("assigned trace sets are not an antichain")
-    rho = rho_from_trace(tr)
-    report = is_hereditarily_ell_rigid(rho, tr.ell)
+def _built(k: int, ell: int, h: int, picks) -> Relation:
+    """The relation composed from the masks of the increasing tuples,
+    verified from its members.  In that relation the trace of an injective
+    x is the mask picked for sorted(x), moved, so the verification compares
+    exactly the picked masks and their images."""
+    rho = _compose(k, h, ell, picks)
+    report = is_hereditarily_ell_rigid(rho, ell)
     if not report.verdict:
         raise ConstructionError(
             f"constructed relation failed verification on side "
@@ -308,10 +307,11 @@ def _built(tr: AbstractTrace) -> Relation:
     return rho
 
 
-def _assign(k: int, ell: int, h: int, stream, tag: int) -> AbstractTrace:
-    """The trace giving each increasing ell-tuple the first mask x of
-    stream that is not taken and whose orbit under the relabellings is
-    free; the tuple reordered by a permutation gets x | tag, both moved.
+def _assign(k: int, ell: int, h: int, stream, tag: int) -> list:
+    """The (rep, x | tag) pairs, rep running over the increasing ell-tuples
+    in combinations order, where x is the first mask of stream that is not
+    taken and whose orbit under the relabellings is free.  In the composed
+    relation, rep reordered by a permutation carries x | tag, both moved.
 
     The relabellings form a group acting on masks, and the stream is a
     union of orbits, so orbits are equal or disjoint: x is free of the
@@ -320,12 +320,10 @@ def _assign(k: int, ell: int, h: int, stream, tag: int) -> AbstractTrace:
     met, as many as any search over the same masks can.  It draws at most
     64 C(k, ell) + 256 free masks, taken ones included.
     """
-    relabel = _relabellings(ell, h)[1:]  # the identity comes first
-    moves = [move for _, move in relabel]
-    reorders = [(itemgetter(*p), move(tag)) for p, move in relabel]
+    moves = [move for _, move in _relabellings(ell, h)[1:]]  # the identity comes first
     left = 64 * math.comb(k, ell) + 256  # free masks still to draw
     taken = set()
-    assignment = []
+    picks = []
     stream = iter(stream)
     for rep in itertools.combinations(range(k), ell):
         for x in stream:
@@ -342,7 +340,5 @@ def _assign(k: int, ell: int, h: int, stream, tag: int) -> AbstractTrace:
             )
         taken.add(x)
         taken.update(images)
-        assignment.append((rep, x | tag))
-        for (reorder, t), image in zip(reorders, images):
-            assignment.append((reorder(rep), image | t))
-    return AbstractTrace(ell, h, k, tuple(sorted(assignment)))
+        picks.append((rep, x | tag))
+    return picks

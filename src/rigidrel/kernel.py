@@ -308,11 +308,6 @@ class PartialUnaryFn:
     def identity(cls, k: int) -> "PartialUnaryFn":
         return cls(k, tuple(range(k)))
 
-    @classmethod
-    def constant_map(cls, k: int, value: int, points=None) -> "PartialUnaryFn":
-        pts = range(k) if points is None else points
-        return cls.from_pairs(k, ((x, value) for x in pts))
-
     @cached_property
     def dom(self):
         return tuple(x for x, v in enumerate(self.table) if v is not None)

@@ -79,24 +79,28 @@ def unary_preserves(f: PartialUnaryFn, rho: Relation) -> PreservationVerdict:
 def preserves(f: PartialFn, rho: Relation) -> PreservationVerdict:
     """Preservation check for an n-ary partial function.
 
-    Searches n-tuples of rho-columns depth first in rank order.  After j
+    Searches n-tuples of rho-columns depth first in rank order.  Column j
+    draws only from the members whose entries all lie in the values that
+    dom(f) takes at coordinate j, filtered once per call.  After j
     columns every row of the matrix is a prefix p, and ``reach[j][p]`` is
     the bit-mask of the values f takes on the domain rows extending p.  A
     branch is dropped when some row reaches no value (it leaves the
     prefixes of dom(f)), or when every tuple of the product of the
     reachable value sets lies in rho: no completion can then escape.
-    That escape test is memoised per mask tuple.  Pruning removes only
-    subtrees without a violation and leaves the search order alone, so
-    the first violation found is still the lexicographically least one
-    (columns compared by rank, left to right).
+    That escape test is memoised per mask tuple.  The filter and the
+    pruning remove only subtrees without a violation and leave the search
+    order alone, so the first violation found is still the
+    lexicographically least one (columns compared by rank, left to right).
     """
     if f.k != rho.k:
         raise DomainMismatchError("function and relation use different base sets")
     if not f.graph:
         return PreservationVerdict(True)
     n, h, k = f.n, rho.h, rho.k
-    members = rho.members
     mapping = f.mapping
+    columns = [
+        [c for c in rho.members if at_j.issuperset(c)] for at_j in map(set, zip(*mapping))
+    ]
     reach = tuple({} for _ in range(n + 1))
     for args, v in f.graph:
         for j, table in enumerate(reach):
@@ -123,7 +127,7 @@ def preserves(f: PartialFn, rho: Relation) -> PreservationVerdict:
         if j == n:  # the last column passed with singleton masks: image escapes
             return ViolationCertificate(cols, tuple(mapping[row] for row in rows))
         table = reach[j + 1]
-        for col in members:
+        for col in columns[j]:
             new_rows = tuple(row + (c,) for row, c in zip(rows, col))
             masks = tuple(table.get(row, 0) for row in new_rows)
             if all(masks) and can_escape(masks):

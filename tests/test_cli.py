@@ -269,19 +269,6 @@ def test_classify_k_below_two_exit_two(capsys):
     _assert_one_line_error(capsys)
 
 
-def test_classify_jobs_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RIGIDREL_JOBS", "2")
-    out_file = tmp_path / "c.jsonl"
-    assert main(
-        ["classify", "--k", "2", "--h", "2", "--ell", "2", "--out", str(out_file)]
-    ) == 0
-    capsys.readouterr()
-    assert len(out_file.read_text().splitlines()) == 15
-    monkeypatch.setenv("RIGIDREL_JOBS", "junk")
-    assert main(["classify", "--k", "2", "--h", "2", "--ell", "2"]) == 2
-    capsys.readouterr()
-
-
 def test_classify_timing_flag(tmp_path, capsys):
     out_file = tmp_path / "c.jsonl"
     assert main(

@@ -19,7 +19,6 @@ from rigidrel.construct import (
     bound_sides,
     construct_2rigid,
     construct_ellrigid,
-    exists_2rigid,
     falling_factorial,
     max_k_2rigid,
     r_bounds,
@@ -28,7 +27,12 @@ from rigidrel.construct import (
     surjection_count,
 )
 from rigidrel.kernel import CapacityError, Relation, beta, beta_lt
-from rigidrel.rigidity import _relabellings, is_hereditarily_ell_rigid, trace
+from rigidrel.rigidity import (
+    _relabellings,
+    comparable_masks,
+    is_hereditarily_ell_rigid,
+    trace,
+)
 
 
 # -- counting ----------------------------------------------------------------
@@ -62,14 +66,12 @@ def test_falling_factorial():
 
 def test_sperner_bound_and_existence():
     # 2-rigid relations need k(k-1) middle-layer sets of surjective patterns
-    assert exists_2rigid(2, 2)
-    assert not exists_2rigid(3, 2)  # 6 ordered pairs, only 2 patterns
-    assert exists_2rigid(5, 3)
-    assert not exists_2rigid(6, 3)
-    assert exists_2rigid(59, 4)
-    assert not exists_2rigid(60, 4)
+    assert sperner_bound_holds(2, 2, 2)
+    assert not sperner_bound_holds(3, 2, 2)  # 6 ordered pairs, only 2 patterns
     assert sperner_bound_holds(5, 2, 3)
     assert not sperner_bound_holds(6, 2, 3)
+    assert sperner_bound_holds(59, 2, 4)
+    assert not sperner_bound_holds(60, 2, 4)
 
 
 def test_max_k_2rigid_table():
@@ -77,11 +79,11 @@ def test_max_k_2rigid_table():
 
 
 def test_max_k_agrees_with_existence_predicate():
-    assert not exists_2rigid(2, 1)  # no k >= 2 works at h = 1
+    assert not sperner_bound_holds(2, 2, 1)  # no k >= 2 works at h = 1
     for h in range(2, 6):
         m = max_k_2rigid(h)
-        assert exists_2rigid(m, h)
-        assert not exists_2rigid(m + 1, h)
+        assert sperner_bound_holds(m, 2, h)
+        assert not sperner_bound_holds(m + 1, 2, h)
 
 
 def test_r_bounds():
@@ -134,7 +136,7 @@ def test_middle_layer_fit_from_bit_lengths():
             if need >= 0:
                 assert _fits_middle_layer(need, m) == (need <= have)
     # a ground of 2**40 patterns is decided without its binomial
-    assert exists_2rigid(3, 41)
+    assert sperner_bound_holds(3, 2, 41)
     assert sperner_bound_holds(10, 3, 40)
     with pytest.raises(CapacityError):
         construct_2rigid(3, 100000)  # the bound holds; the relation is too large
@@ -148,7 +150,7 @@ def test_abstract_trace_round_trip_from_real_trace():
     tm = trace(rho, 2)
     at = AbstractTrace.from_dict(tm.ell, tm.h, tm.k, tm.as_dict)
     at.validate()
-    assert at.values_strictly_incomparable()
+    assert not comparable_masks(m for _, m in at.masks)
     assert rho_from_trace(at) == rho
 
 
@@ -254,26 +256,17 @@ def test_equivariance_error_names_first_tuple_and_permutation():
         assert str(info.value) == f"not equivariant at {named}"
 
 
-def test_rho_from_trace_round_trip_ell3():
-    for k in (4, 5):
-        rho = construct_ellrigid(k, 3, 4)
-        tm = trace(rho, 3)
-        at = AbstractTrace.from_dict(tm.ell, tm.h, tm.k, tm.as_dict)
-        assert rho_from_trace(at) == rho
+def test_comparable_masks_detects_containment():
+    # at h = 2 the surjective patterns (0, 1) and (1, 0) are bits 0 and 1
+    def masks(items):
+        return [m for _, m in AbstractTrace.from_dict(2, 2, 2, items).masks]
 
-
-def test_values_strictly_incomparable_detects_containment():
-    items = {
-        (0, 1): frozenset({(0, 1)}),
-        (1, 0): frozenset({(0, 1), (1, 0)}),
-    }
-    at = AbstractTrace.from_dict(2, 2, 2, items)
-    assert not at.values_strictly_incomparable()
-    items_eq = {
-        (0, 1): frozenset({(0, 1)}),
-        (1, 0): frozenset({(0, 1)}),
-    }
-    assert not AbstractTrace.from_dict(2, 2, 2, items_eq).values_strictly_incomparable()
+    contained = masks({(0, 1): {(0, 1)}, (1, 0): {(0, 1), (1, 0)}})
+    assert contained == [0b01, 0b11]
+    assert comparable_masks(contained) == {0b01}
+    equal = masks({(0, 1): {(0, 1)}, (1, 0): {(0, 1)}})
+    assert comparable_masks(equal) == {0b01}
+    assert comparable_masks(masks({(0, 1): {(0, 1)}, (1, 0): {(1, 0)}})) == set()
 
 
 def test_rho_from_trace_contains_low_diversity_block():
@@ -298,7 +291,7 @@ def test_construct_2rigid_sizes_and_verification():
         tm = trace(rho, 2)
         at = AbstractTrace.from_dict(tm.ell, tm.h, tm.k, tm.as_dict)
         at.validate()
-        assert at.values_strictly_incomparable()
+        assert not comparable_masks(m for _, m in at.masks)
 
 
 def test_construct_2rigid_trace_sizes_follow_middle_layer():
@@ -402,6 +395,17 @@ def test_constructions_match_pinned_masks(ell, k, h):
     assert hashlib.sha256(rho.mask).hexdigest() == PINNED_MASKS[(ell, k, h)]
 
 
+@pytest.mark.parametrize("ell,k,h", sorted(PINNED_MASKS))
+def test_rho_from_trace_round_trip(ell, k, h):
+    # the public path, from every injective tuple's trace, rebuilds exactly
+    # what the constructors compose from the increasing tuples alone
+    rho = construct_2rigid(k, h) if ell == 2 else construct_ellrigid(k, ell, h)
+    tm = trace(rho, ell)
+    at = AbstractTrace.from_dict(ell, h, k, tm.as_dict)
+    at.validate()
+    assert rho_from_trace(at) == rho
+
+
 def test_assign_fails_when_the_stream_holds_too_few_free_orbits():
     swap = _relabellings(2, 3)[1][1]
     x, y, fixed = 0b000111, 0b001011, 0b100001  # fixed is its own dual
@@ -411,12 +415,11 @@ def test_assign_fails_when_the_stream_holds_too_few_free_orbits():
     for stream in ([x, swap(x), fixed, y], [fixed, x, x, y, swap(y), x]):
         with pytest.raises(ConstructionError, match=budget_text):
             _assign(3, 2, 3, iter(stream), 0)
-    # a pair gets a free orbit, the other its image: both orbits are taken
-    tr = _assign(2, 2, 3, iter([fixed, x, swap(x), y]), 0)
-    assert tr.masks == (((0, 1), x), ((1, 0), swap(x)))
+    # the one pair gets the first mask with a free orbit, past the self-dual one
+    assert _assign(2, 2, 3, iter([fixed, x, swap(x), y]), 0) == [((0, 1), x)]
     # the pass draws at most 64 C(k, 2) + 256 free masks, taken ones
     # included: here the last pick is the cap-th free mask, then one past it
     cap, z = 64 * 3 + 256, 0b010011
-    assert len(_assign(3, 2, 3, iter([x] + [swap(x)] * (cap - 3) + [y, z]), 0).masks) == 6
+    assert len(_assign(3, 2, 3, iter([x] + [swap(x)] * (cap - 3) + [y, z]), 0)) == 3
     with pytest.raises(ConstructionError, match=budget_text):
         _assign(3, 2, 3, iter([x] + [swap(x)] * (cap - 2) + [y, z]), 0)

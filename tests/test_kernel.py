@@ -217,12 +217,9 @@ def test_unary_identity_and_constants():
     assert ident.table == (0, 1, 2)
     assert ident.below_identity
     assert ident.is_injective
-    const = PartialUnaryFn.constant_map(3, 1)
-    assert const.table == (1, 1, 1)
+    const = PartialUnaryFn(3, (1, 1, 1))
     assert not const.is_injective
     assert const.img == frozenset({1})
-    on_points = PartialUnaryFn.constant_map(3, 0, points=(2,))
-    assert on_points.table == (None, None, 0)
 
 
 def test_unary_below_identity():

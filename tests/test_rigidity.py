@@ -235,7 +235,7 @@ def test_omega_witness_on_diagonal_deletions():
             u = cut.members[0]
             report = is_hereditarily_ell_rigid(cut, 2)
             assert (report.failing_side, report.witness) == ("omega", u)
-            assert report.failing_function == PartialUnaryFn.constant_map(k, c, set(u))
+            assert report.failing_function == PartialUnaryFn.from_pairs(k, ((x, c) for x in u))
             assert verify_report(cut, 2, report)
     # pinned: k = 5, h = 3 with the diagonal tuples of 0 and 3 deleted
     cut = Relation.from_ranks(5, 3, set(construct_2rigid(5, 3).ranks) - {0, 93})
