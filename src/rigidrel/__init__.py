@@ -28,8 +28,8 @@ from .rigidity import (
 )
 from .construct import (
     AbstractTrace, BoundError, ConstructionError, TraceError, bound_sides,
-    construct_2rigid, construct_ellrigid, falling_factorial, max_k_2rigid,
-    r_bounds, rho_from_trace, sperner_bound_holds, surjection_count,
+    construct_2rigid, construct_ellrigid, max_k_2rigid, r_bounds,
+    rho_from_trace, sperner_bound_holds, surjection_count,
 )
 from .strongrigid import (
     NontrivialityWitness, NoWitnessError, chain_inclusion, delta,
@@ -51,7 +51,7 @@ __all__ = [
     "verify_report",
     "AbstractTrace", "BoundError", "ConstructionError", "TraceError",
     "bound_sides", "construct_2rigid", "construct_ellrigid",
-    "falling_factorial", "max_k_2rigid", "r_bounds", "rho_from_trace",
+    "max_k_2rigid", "r_bounds", "rho_from_trace",
     "sperner_bound_holds", "surjection_count",
     "NontrivialityWitness", "NoWitnessError", "chain_inclusion", "delta",
     "delta_preserves", "excluded_tuple", "limit_is_trivial_clone", "phi",

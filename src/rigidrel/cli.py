@@ -23,7 +23,6 @@ from .construct import (
     bound_sides,
     construct_2rigid,
     construct_ellrigid,
-    falling_factorial,
     max_k_2rigid,
     r_bounds,
     sperner_bound_holds,
@@ -224,7 +223,7 @@ def cmd_bounds(args) -> int:
         rows.append(("r_upper", hi))
     if args.k is not None:
         rows.append(("k", args.k))
-        rows.append(("tuples_needed", falling_factorial(args.k, ell)))
+        rows.append(("tuples_needed", math.perm(args.k, ell)))
         rows.append(
             ("sperner_bound_holds", str(sperner_bound_holds(args.k, ell, h)).lower())
         )

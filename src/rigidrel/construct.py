@@ -80,11 +80,6 @@ def _require_printable_bounds(ell: int, h: int, k=None) -> None:
         )
 
 
-def falling_factorial(n: int, r: int) -> int:
-    """n (n-1) ... (n-r+1); zero when r exceeds n."""
-    return math.perm(n, r)
-
-
 def surjection_count(n: int, ell: int) -> int:
     """Number of surjections from an n-set onto an ell-set, by inclusion-exclusion."""
     if n < 1 or ell < 1:
@@ -103,7 +98,7 @@ def sperner_bound_holds(k: int, ell: int, h: int) -> bool:
     2**h - 2 surjections from an h-set onto a 2-set."""
     if k < 2 or ell < 1 or h < 1:
         raise ValueError("need k >= 2, ell >= 1, h >= 1")
-    return _fits_middle_layer(falling_factorial(k, ell), surjection_count(h, ell))
+    return _fits_middle_layer(math.perm(k, ell), surjection_count(h, ell))
 
 
 def _fits_middle_layer(need: int, m: int) -> bool:
@@ -150,7 +145,7 @@ def bound_sides(k: int, ell: int, h: int) -> tuple:
     The m patterns are the surjective ones, less one free orbit of ell!
     patterns held back at ell >= 3."""
     m = _ground_size(ell, h)
-    return falling_factorial(k, ell), m, math.comb(m, m // 2)
+    return math.perm(k, ell), m, math.comb(m, m // 2)
 
 
 def _ground_size(ell: int, h: int) -> int:
@@ -246,7 +241,7 @@ def construct_2rigid(k: int, h: int) -> Relation:
     """
     if k < 2 or h < 1:
         raise ValueError("need k >= 2, h >= 1")
-    need, s = falling_factorial(k, 2), _ground_size(2, h)
+    need, s = math.perm(k, 2), _ground_size(2, h)
     if not _fits_middle_layer(need, s):
         raise BoundError(
             f"no hereditarily 2-rigid relation at k={k}, h={h}: "
@@ -273,7 +268,7 @@ def construct_ellrigid(k: int, ell: int, h: int) -> Relation:
         raise ValueError(f"need ell <= k, got ell={ell}, k={k}")
     if not ell < h:
         raise BoundError(f"construction requires ell < h, got ell={ell}, h={h}")
-    need, m = falling_factorial(k, ell), _ground_size(ell, h)
+    need, m = math.perm(k, ell), _ground_size(ell, h)
     if not _fits_middle_layer(need, m):
         raise BoundError(
             f"counting criterion fails at k={k}, ell={ell}, h={h}: "

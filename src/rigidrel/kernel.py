@@ -62,6 +62,8 @@ def tuple_rank(entries, k: int) -> int:
         if not 0 <= e < k:
             raise EncodingError(f"entry {e} outside range(0, {k})")
         r = r * k + e
+    if not isinstance(r, int):  # a float or other non-int entry spreads to r
+        raise EncodingError(f"tuple {entries!r} has a non-integer entry")
     return r
 
 
@@ -292,8 +294,8 @@ class PartialUnaryFn:
                 f"table has {len(self.table)} entries, expected {self.k}"
             )
         for v in self.table:
-            if v is not None and not 0 <= v < self.k:
-                raise EncodingError(f"value {v} outside range(0, {self.k})")
+            if v is not None and not (isinstance(v, int) and 0 <= v < self.k):
+                raise EncodingError(f"value {v!r} is not an int in range(0, {self.k})")
 
     @classmethod
     def from_pairs(cls, k: int, pairs) -> "PartialUnaryFn":
@@ -379,8 +381,8 @@ class PartialFn:
             if len(args) != self.n:
                 raise EncodingError(f"argument tuple {args!r} has wrong arity")
             tuple_rank(args, self.k)  # validates entries
-            if not 0 <= v < self.k:
-                raise EncodingError(f"value {v} outside range(0, {self.k})")
+            if not (isinstance(v, int) and 0 <= v < self.k):
+                raise EncodingError(f"value {v!r} is not an int in range(0, {self.k})")
             if args in seen:
                 raise EncodingError(f"argument tuple {args!r} listed twice")
             seen.add(args)

@@ -6,17 +6,21 @@ these relations yields a strictly descending chain of clones whose limit
 is exactly the trivial partial functions (projections and constants),
 while each finite stage still contains a nontrivial member.
 
-Membership is decided from column bitmasks of f's domain rows: a matrix
-breaks delta(t, h) iff an AND of t one-rows and an AND of h - t
-complemented zero-rows share no bit.  The ANDs of i rows (repeats allowed)
-grow with i and reach the AND-closure, a fixpoint, within |dom(f)| steps.
-Each closure depends only on its row set, so a sweep builds one per row
-set, not per function, and reduces the zero side to best[a], the least
-depth of a key sharing no bit with a.  The pairs (i, best[a]) over the
-one-side keys a answer every (t, h): f preserves every delta(t, h) at
-arity h iff h is below the least i + j over them.  One closure over the
-rows' agreement masks likewise decides whether f preserves every relation
-of arity h (_agreement_depth).
+Membership is decided from the agreement masks of f's domain rows: bit j
+of row r's mask is set iff r[j] = f(r).  Stacking rows whose values spell
+the excluded tuple gives a matrix whose column j equals that tuple iff bit
+j survives the AND of their masks, so the matrix breaks delta(t, h) iff an
+AND of t one-row masks and an AND of h - t zero-row masks share no bit.
+The ANDs of i masks (repeats allowed) grow with i and reach the
+AND-closure, a fixpoint, within |dom(f)| steps.  Each closure depends
+only on its mask set, so a sweep builds one per mask set, not per
+function, and reduces the zero side to best[a], the least depth of a key
+sharing no bit with a.  The pairs (i, best[a]) over the one-side keys a
+answer every (t, h): f preserves every delta(t, h) at arity h iff h is
+below the least i + j over them.  One closure over all the masks likewise
+decides whether f preserves every relation of arity h (_agreement_depth).
+A single (t, h) is decided by delta_preserves' forward pass over the
+masks, which also picks the certificate.
 """
 
 from __future__ import annotations
@@ -114,23 +118,25 @@ def phi_preserves_all(n: int, h: int) -> bool:
 
 
 @functools.lru_cache(maxsize=4096)
-def _column_mask(args: tuple) -> int:
-    """A row over {0, 1} as a bitmask over the columns: bit j is entry j."""
+def _agreement_mask(args: tuple, v: int) -> int:
+    """The row args as a bitmask over the columns: bit j is set iff
+    args[j] == v."""
     bm = 0
     for j, e in enumerate(args):
-        bm |= e << j
+        if e == v:
+            bm |= 1 << j
     return bm
 
 
 def _row_masks(f: PartialFn) -> tuple:
-    """dom(f) as column bitmasks, split into the rows mapping to one and
-    those mapping to zero, each a tuple in graph order."""
+    """The agreement masks of dom(f), split into the rows mapping to one
+    and those mapping to zero, each a tuple in graph order."""
     if f.k != 2:
         raise DomainMismatchError("delta relations live on a two-element base set")
     ones = []
     zeros = []
     for args, val in f.graph:
-        (ones if val == 1 else zeros).append(_column_mask(args))
+        (ones if val == 1 else zeros).append(_agreement_mask(args, val))
     return tuple(ones), tuple(zeros)
 
 
@@ -161,32 +167,30 @@ def _closure_depths(rows) -> dict:
 
 def _agreement_depth(f: PartialFn):
     """d(f): the fewest rows of dom(f), repeats allowed, whose agreement
-    masks AND to 0, or None when no rows do (f is a partial projection).
+    masks (see _row_masks) AND to 0, or None when no rows do (f is a
+    partial projection).
 
-    Bit i of row r's agreement mask is set iff r[i] = f(r).  By the Pol-Inv
-    Galois connection for partial functions, f preserves every h-ary
-    relation iff h < d(f): any h rows then share a coordinate that f
-    copies, so the image column is a column of the matrix; and d rows
-    with no such coordinate, padded with repeats to h rows, have as their
-    columns a relation that f breaks.
+    By the Pol-Inv Galois connection for partial functions, f preserves
+    every h-ary relation iff h < d(f): any h rows then share a coordinate
+    that f copies, so the image column is a column of the matrix; and d
+    rows with no such coordinate, padded with repeats to h rows, have as
+    their columns a relation that f breaks.
     """
     ones, zeros = _row_masks(f)
-    full = (1 << f.n) - 1
-    return _closure_depths(ones + tuple(~bm & full for bm in zeros)).get(0)
+    return _closure_depths(ones + zeros).get(0)
 
 
 def _sweep_levels():
-    """A _break_levels for one sweep, with its closures memoised per row set.
+    """A _break_levels for one sweep, with its closures memoised per mask set.
 
-    Bit c of an AND of one-rows, ANDed with an AND of complemented
-    zero-rows, is set iff column c of the matrix stacking those rows
-    equals the excluded tuple.  So an AND a of i one-rows and an AND b of
-    j complemented zero-rows with a & b == 0 give a matrix breaking
-    delta(t, h) whenever i <= t and j <= h - t.  Both closures depend only
-    on their row set, so each is built once per sweep, keyed by the row
-    masks; the zero side is then reduced to best[a], the least depth j of a
-    key b with a & b == 0, or 0 when no key has that.  best is filled in as
-    the one-side keys a ask for it: a table over every a < 2**n would cost
+    An AND a of i one-row agreement masks and an AND b of j zero-row ones
+    with a & b == 0 give a matrix whose image is the excluded tuple of
+    delta(t, h) and none of whose columns is, so f breaks delta(t, h)
+    whenever i <= t and j <= h - t.  Both closures depend only on their
+    mask set, so each is built once per sweep, keyed by the masks; the
+    zero side is then reduced to best[a], the least depth j of a key b
+    with a & b == 0, or 0 when no key has that.  best is filled in as the
+    one-side keys a ask for it: a table over every a < 2**n would cost
     2**n entries at phi(PHI_MAX_N), whose one side has a single key.
     The pairs (i, best[a]) are the least of f's breaking pairs: every other
     one is (i, j) with j >= best[a], and _breaks and _in_family are
@@ -200,12 +204,9 @@ def _sweep_levels():
         side_a = one_sides.get(ones)
         if side_a is None:
             side_a = one_sides[ones] = _closure_depths(ones).items()
-        key = (f.n, zeros)
-        side_b = zero_sides.get(key)
+        side_b = zero_sides.get(zeros)
         if side_b is None:
-            full = (1 << f.n) - 1
-            closure = _closure_depths([~bm & full for bm in zeros]).items()
-            side_b = zero_sides[key] = (closure, {})
+            side_b = zero_sides[zeros] = (_closure_depths(zeros).items(), {})
         closure, best = side_b
         pairs = []
         for a, i in side_a:
@@ -248,38 +249,37 @@ def delta_preserves(f: PartialFn, t: int, h: int) -> PreservationVerdict:
     A violating matrix must have its image equal to the single excluded
     tuple, so rows i <= t come from f's ones and the rest from its zeros,
     and the only constraint left is that no column matches the excluded
-    tuple everywhere.  The verdict comes from _break_levels: the AND-closure
-    levels of f's rows, which reach their fixpoint after at most |dom(f)|
-    steps.  Only a negative verdict runs a forward pass over the
-    still-matching column masks, keeping back-pointers, to pick the
-    certificate.  Verdicts agree with preserves().
+    tuple everywhere: the AND of the rows' agreement masks is 0.  One
+    forward pass keeps the distinct ANDs after each row, each with a
+    back-pointer to the state and row that first reached it; f breaks
+    delta(t, h) iff state 0 is reached after h rows, and the back-pointers
+    from there give the certificate's rows.  Verdicts agree with
+    preserves().
     """
-    levels = _break_levels(f)
+    if f.k != 2:
+        raise DomainMismatchError("delta relations live on a two-element base set")
     v = excluded_tuple(t, h)
-    if not _breaks(levels, t, h):
-        return PreservationVerdict(True)
-    ones, zeros = _row_masks(f)
-    full = (1 << f.n) - 1
-    steps = [{full: None}]
-    for i in range(1, h + 1):
-        rows = ones if i <= t else zeros
+    sides = [
+        [(_agreement_mask(args, y), args) for args, val in f.graph if val == y]
+        for y in (0, 1)
+    ]
+    steps = [{(1 << f.n) - 1: None}]
+    for y in v:
         nxt: dict = {}
         for state in sorted(steps[-1]):
-            for bm in rows:
-                match = bm if i <= t else ~bm & full
-                ns = state & match
+            for bm, args in sides[y]:
+                ns = state & bm
                 if ns not in nxt:
-                    nxt[ns] = (state, bm)
+                    nxt[ns] = (state, args)
         steps.append(nxt)
-    picked = []
+    if 0 not in steps[-1]:
+        return PreservationVerdict(True)
+    rows = []
     state = 0
-    for i in range(h, 0, -1):
-        state, bm = steps[i][state]
-        picked.append(bm)
-    picked.reverse()
-    columns = tuple(
-        tuple(bm >> j & 1 for bm in picked) for j in range(f.n)
-    )
+    for step in reversed(steps[1:]):
+        state, args = step[state]
+        rows.append(args)
+    columns = tuple(zip(*reversed(rows)))
     return PreservationVerdict(False, ViolationCertificate(columns, v))
 
 

@@ -19,7 +19,6 @@ from rigidrel.construct import (
     bound_sides,
     construct_2rigid,
     construct_ellrigid,
-    falling_factorial,
     max_k_2rigid,
     r_bounds,
     rho_from_trace,
@@ -56,12 +55,6 @@ def test_surjection_count_two_blocks():
     # s(h, 2) = 2^h - 2
     for h in range(2, 7):
         assert surjection_count(h, 2) == 2**h - 2
-
-
-def test_falling_factorial():
-    assert falling_factorial(5, 2) == 20
-    assert falling_factorial(4, 4) == 24
-    assert falling_factorial(3, 0) == 1
 
 
 def test_sperner_bound_and_existence():

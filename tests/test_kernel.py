@@ -50,6 +50,9 @@ def test_rank_rejects_out_of_range_entries():
         tuple_rank((0, 2), 2)
     with pytest.raises(EncodingError):
         tuple_rank((-1,), 3)
+    for entries in ((0, 0.5), (1.0,), (1, 0.0)):  # non-integer entries
+        with pytest.raises(EncodingError):
+            tuple_rank(entries, 2)
 
 
 def _brute_beta(m, n, base):
@@ -210,6 +213,9 @@ def test_unary_validation():
         PartialUnaryFn(2, (0,))  # table length != k
     with pytest.raises(EncodingError):
         PartialUnaryFn(2, (0, 2))  # value out of range
+    for table in ((0, 1.5), (1.0, None)):
+        with pytest.raises(EncodingError):
+            PartialUnaryFn(2, table)  # value not an int
 
 
 def test_unary_identity_and_constants():
@@ -269,6 +275,9 @@ def test_partial_fn_validation():
         PartialFn(2, 1, (((0,), 0), ((0,), 1)))  # duplicate argument tuple
     with pytest.raises(EncodingError):
         PartialFn.from_mapping(2, 1, {(0,): 2})  # value out of range
+    for value in (1.5, 1.0):
+        with pytest.raises(EncodingError):
+            PartialFn.from_mapping(2, 1, {(0,): value})  # value not an int
     with pytest.raises(EncodingError):
         PartialFn.from_mapping(2, 2, {(0,): 0})  # arity mismatch
 
