@@ -48,8 +48,8 @@ from .strongrigid import (
 
 
 # raised by unreadable or malformed input files (JSON and encoding errors are
-# ValueErrors; int() of a JSON number too large for a float is an OverflowError)
-_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, OverflowError)
+# ValueErrors)
+_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError)
 
 
 def _dump(obj) -> str:

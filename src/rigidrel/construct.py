@@ -7,11 +7,12 @@ fix the whole relation: all low-diversity tuples plus each increasing
 tuple composed with its patterns.  When the sets, with their images
 under the permutations, are pairwise strictly incomparable, that
 relation is hereditarily ell-rigid.  Sperner's theorem bounds how large
-the base set can get.  The constructors pick the sets of the increasing
-tuples from a middle layer of the pattern power set, compose the
-relation from them, and verify it once, from its members.  AbstractTrace
-and its validate serve user-supplied traces, which give every injective
-tuple.
+the base set can get.  Both constructors run one body, _construct: it
+picks the sets of the increasing tuples from a middle layer of the
+pattern power set, composes the relation from them, and verifies it
+once, from its members; at ell >= 3 it first holds back one free orbit
+of patterns.  AbstractTrace and its validate serve user-supplied traces,
+which give every injective tuple.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ def max_k_2rigid(h: int) -> int:
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
     _require_printable_bounds(2, h)
-    bound = math.comb(2**h - 2, 2 ** (h - 1) - 1)
+    m = _ground_size(2, h)
+    bound = math.comb(m, m // 2)
     k = (1 + math.isqrt(1 + 4 * bound)) // 2
     while k * (k - 1) > bound:
         k -= 1
@@ -188,7 +190,7 @@ class AbstractTrace:
         ell, h, k = self.ell, self.h, self.k
         if [x for x, _ in self.masks] != list(itertools.permutations(range(k), ell)):
             raise TraceError("assignment must cover exactly the injective tuples")
-        n = len(_surjective_patterns(h, ell))
+        n = surjection_count(h, ell)
         for x, m in self.masks:
             if m >> n:
                 raise TraceError(f"trace at {x} uses non-surjective patterns")
@@ -241,14 +243,7 @@ def construct_2rigid(k: int, h: int) -> Relation:
     """
     if k < 2 or h < 1:
         raise ValueError("need k >= 2, h >= 1")
-    need, s = math.perm(k, 2), _ground_size(2, h)
-    if not _fits_middle_layer(need, s):
-        raise BoundError(
-            f"no hereditarily 2-rigid relation at k={k}, h={h}: "
-            f"k(k-1) = {need} > C({s},{s // 2}) = {math.comb(s, s // 2)}"
-        )
-    rank_count(k, h)  # refuse before any work a relation too large to hold
-    return _built(k, 2, h, _assign(k, 2, h, subsets_colex(s, s // 2), 0))
+    return _construct(k, 2, h)
 
 
 def construct_ellrigid(k: int, ell: int, h: int) -> Relation:
@@ -268,30 +263,35 @@ def construct_ellrigid(k: int, ell: int, h: int) -> Relation:
         raise ValueError(f"need ell <= k, got ell={ell}, k={k}")
     if not ell < h:
         raise BoundError(f"construction requires ell < h, got ell={ell}, h={h}")
+    return _construct(k, ell, h)
+
+
+def _construct(k: int, ell: int, h: int) -> Relation:
+    """The body of both constructors: check the counting criterion, pick a
+    set for each increasing tuple (see _assign), compose the relation and
+    verify it from its members.  There the trace of an injective x is the
+    set picked for sorted(x), moved, so the verification compares exactly
+    the picked masks and their images.  Holding back the orbit of the
+    first pattern, whose bit tags every pick, is the only ell >= 3 branch."""
     need, m = math.perm(k, ell), _ground_size(ell, h)
     if not _fits_middle_layer(need, m):
-        raise BoundError(
-            f"counting criterion fails at k={k}, ell={ell}, h={h}: "
-            f"{need} > C({m},{m // 2}) = {math.comb(m, m // 2)}"
+        head = (
+            f"no hereditarily 2-rigid relation at k={k}, h={h}: k(k-1) ="
+            if ell == 2
+            else f"counting criterion fails at k={k}, ell={ell}, h={h}:"
         )
-    rank_count(k, h)
-    relabel = _relabellings(ell, h)
-    # the first pattern y (bit 0) tags the permutations; its orbit is free
-    y_orbit = {move(1) for _, move in relabel}
-    assert len(y_orbit) == len(relabel), "a surjective pattern has a free orbit"
-    n = len(_surjective_patterns(h, ell))
-    ground = [i for i in range(n) if 1 << i not in y_orbit]
-    where = dict(zip(ground, range(m)))
-    spread = _bit_map([where.get(i) for i in range(n)], m)
-    return _built(k, ell, h, _assign(k, ell, h, map(spread, subsets_colex(m, m // 2)), 1))
-
-
-def _built(k: int, ell: int, h: int, picks) -> Relation:
-    """The relation composed from the masks of the increasing tuples,
-    verified from its members.  In that relation the trace of an injective
-    x is the mask picked for sorted(x), moved, so the verification compares
-    exactly the picked masks and their images."""
-    rho = _compose(k, h, ell, picks)
+        raise BoundError(f"{head} {need} > C({m},{m // 2}) = {math.comb(m, m // 2)}")
+    rank_count(k, h)  # refuse before any work a relation too large to hold
+    stream, tag = subsets_colex(m, m // 2), 0
+    if ell > 2:
+        # the first pattern y (bit 0) tags the permutations; its orbit is free
+        y_orbit = {move(1) for _, move in _relabellings(ell, h)}
+        assert len(y_orbit) == math.factorial(ell), "a surjective pattern has a free orbit"
+        n = surjection_count(h, ell)
+        ground = [i for i in range(n) if 1 << i not in y_orbit]
+        where = dict(zip(ground, range(m)))
+        stream, tag = map(_bit_map([where.get(i) for i in range(n)], m), stream), 1
+    rho = _compose(k, h, ell, _assign(k, ell, h, stream, tag))
     report = is_hereditarily_ell_rigid(rho, ell)
     if not report.verdict:
         raise ConstructionError(

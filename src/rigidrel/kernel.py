@@ -36,6 +36,15 @@ _BYTE_BITS = tuple(
 MAX_RANKS = 1 << 32
 
 
+def _header(data: dict, key: str) -> int:
+    """The int field key of a JSON object; floats, strings and booleans
+    are refused rather than converted."""
+    v = data[key]
+    if type(v) is not int:
+        raise EncodingError(f"field {key!r} must be an int, got {v!r}")
+    return v
+
+
 def _check_k(k: int) -> None:
     if k < 2:
         raise ValueError(f"base set must have at least 2 elements, got k={k}")
@@ -59,11 +68,9 @@ def tuple_rank(entries, k: int) -> int:
     """Rank of a tuple in base k, first entry most significant."""
     r = 0
     for e in entries:
-        if not 0 <= e < k:
-            raise EncodingError(f"entry {e} outside range(0, {k})")
+        if type(e) is not int or not 0 <= e < k:  # bool is an int subclass
+            raise EncodingError(f"entry {e!r} is not an int in range(0, {k})")
         r = r * k + e
-    if not isinstance(r, int):  # a float or other non-int entry spreads to r
-        raise EncodingError(f"tuple {entries!r} has a non-integer entry")
     return r
 
 
@@ -265,9 +272,8 @@ class Relation:
     @classmethod
     def from_json(cls, data: dict) -> "Relation":
         try:
-            k = int(data["k"])
-            h = int(data["h"])
-        except (KeyError, TypeError, ValueError) as exc:
+            k, h = _header(data, "k"), _header(data, "h")
+        except (KeyError, TypeError) as exc:
             raise EncodingError(f"bad relation object: {exc}") from exc
         if "mask_hex" in data:
             try:
@@ -294,7 +300,7 @@ class PartialUnaryFn:
                 f"table has {len(self.table)} entries, expected {self.k}"
             )
         for v in self.table:
-            if v is not None and not (isinstance(v, int) and 0 <= v < self.k):
+            if v is not None and not (type(v) is int and 0 <= v < self.k):
                 raise EncodingError(f"value {v!r} is not an int in range(0, {self.k})")
 
     @classmethod
@@ -353,7 +359,7 @@ class PartialUnaryFn:
 
     @classmethod
     def from_json(cls, data: dict) -> "PartialUnaryFn":
-        return cls(int(data["k"]), tuple(data["table"]))
+        return cls(_header(data, "k"), tuple(data["table"]))
 
 
 def all_partial_unary(k: int):
@@ -381,7 +387,7 @@ class PartialFn:
             if len(args) != self.n:
                 raise EncodingError(f"argument tuple {args!r} has wrong arity")
             tuple_rank(args, self.k)  # validates entries
-            if not (isinstance(v, int) and 0 <= v < self.k):
+            if not (type(v) is int and 0 <= v < self.k):
                 raise EncodingError(f"value {v!r} is not an int in range(0, {self.k})")
             if args in seen:
                 raise EncodingError(f"argument tuple {args!r} listed twice")
@@ -428,11 +434,8 @@ class PartialFn:
 
     @classmethod
     def from_json(cls, data: dict) -> "PartialFn":
-        return cls.from_mapping(
-            int(data["k"]),
-            int(data["n"]),
-            {tuple(a): v for a, v in data["graph"]},
-        )
+        graph = tuple(sorted((tuple(a), v) for a, v in data["graph"]))
+        return cls(_header(data, "k"), _header(data, "n"), graph)
 
 
 def all_partial_fns(k: int, n: int):

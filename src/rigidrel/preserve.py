@@ -145,30 +145,17 @@ def preserves(f: PartialFn, rho: Relation) -> PreservationVerdict:
 def ppol1(rho: Relation) -> frozenset:
     """All unary partial functions preserving rho.
 
-    Enumerates every table directly from the definition; guarded to
-    k <= 7 since there are (k+1)**k unary partial functions.
+    Enumerates every table and applies it to every member directly from
+    the definition; guarded to k <= 7 since there are (k+1)**k unary
+    partial functions.
     """
     if rho.k > 7:
         raise CapacityError(
             f"ppol1 enumerates (k+1)**k functions and requires k <= 7, got k={rho.k}"
         )
     members = rho.members
-    k = rho.k
-    out = []
-    for f in all_partial_unary(k):
-        table = f.table
-        ok = True
-        for entries in members:
-            image = []
-            for e in entries:
-                v = table[e]
-                if v is None:
-                    image = None
-                    break
-                image.append(v)
-            if image is not None and tuple(image) not in rho:
-                ok = False
-                break
-        if ok:
-            out.append(f)
-    return frozenset(out)
+    return frozenset(
+        f
+        for f in all_partial_unary(rho.k)
+        if all(img is None or img in rho for img in map(f.apply_tuple, members))
+    )

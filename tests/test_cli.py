@@ -450,6 +450,22 @@ def test_non_integer_entries_and_values_exit_two(tmp_path, capsys):
         assert number in err, err  # the message names the offending number
 
 
+def test_repeated_arguments_and_non_int_fields_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    witness = ["strong", "--suite", "witness", "--fn-file", str(bad)]
+    check = ["check", "--relation", str(bad), "--ell", "2"]
+    for argv, text in (
+        (witness, '{"k":2,"n":2,"graph":[[[0,1],0],[[0,1],1],[[1,0],1]]}'),
+        (check, '{"k":2.9,"h":2,"tuples":[[0,1]]}'),
+        (check, '{"k":2,"h":2,"tuples":[[true,false]]}'),
+        (witness, '{"k":2,"n":2,"graph":[[[0,0],true],[[1,1],0]]}'),
+    ):
+        bad.write_text(text)
+        assert main(argv) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_strong_chain_and_limit(capsys):
     assert main(["strong", "--suite", "chain", "--h", "2"]) == 0
     out = json.loads(capsys.readouterr().out)

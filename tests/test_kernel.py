@@ -50,9 +50,10 @@ def test_rank_rejects_out_of_range_entries():
         tuple_rank((0, 2), 2)
     with pytest.raises(EncodingError):
         tuple_rank((-1,), 3)
-    for entries in ((0, 0.5), (1.0,), (1, 0.0)):  # non-integer entries
+    # non-integer entries, booleans included
+    for entries in ((0, 0.5), (1.0,), (1, 0.0), (True,), (0, False), (2.0,), (2.9,)):
         with pytest.raises(EncodingError):
-            tuple_rank(entries, 2)
+            tuple_rank(entries, 3)
 
 
 def _brute_beta(m, n, base):
@@ -203,6 +204,11 @@ def test_relation_from_json_rejects_garbage():
         Relation.from_json({"k": 2, "h": 1, "mask_hex": "zz"})
     with pytest.raises(EncodingError):
         Relation.from_json({"h": 1, "mask_hex": "01"})
+    for k in (True, 2.0, 2.9, "2"):  # header fields are not converted
+        with pytest.raises(EncodingError):
+            Relation.from_json({"k": k, "h": 1, "mask_hex": "01"})
+        with pytest.raises(EncodingError):
+            Relation.from_json({"k": 2, "h": k, "mask_hex": "01"})
 
 
 # -- PartialUnaryFn -----------------------------------------------------------
@@ -213,9 +219,12 @@ def test_unary_validation():
         PartialUnaryFn(2, (0,))  # table length != k
     with pytest.raises(EncodingError):
         PartialUnaryFn(2, (0, 2))  # value out of range
-    for table in ((0, 1.5), (1.0, None)):
+    for table in ((0, 1.5, 0), (1.0, None, 0), (True, None, 0), (2.0, 0, 0), (2.9, 0, 0)):
         with pytest.raises(EncodingError):
-            PartialUnaryFn(2, table)  # value not an int
+            PartialUnaryFn(3, table)  # value not an int
+    for k in (True, 2.0, 2.9):
+        with pytest.raises(EncodingError):
+            PartialUnaryFn.from_json({"k": k, "table": [0, 1]})
 
 
 def test_unary_identity_and_constants():
@@ -275,9 +284,9 @@ def test_partial_fn_validation():
         PartialFn(2, 1, (((0,), 0), ((0,), 1)))  # duplicate argument tuple
     with pytest.raises(EncodingError):
         PartialFn.from_mapping(2, 1, {(0,): 2})  # value out of range
-    for value in (1.5, 1.0):
+    for value in (1.5, 1.0, True, 2.0, 2.9):
         with pytest.raises(EncodingError):
-            PartialFn.from_mapping(2, 1, {(0,): value})  # value not an int
+            PartialFn.from_mapping(3, 1, {(0,): value})  # value not an int
     with pytest.raises(EncodingError):
         PartialFn.from_mapping(2, 2, {(0,): 0})  # arity mismatch
 
@@ -365,6 +374,12 @@ def test_partial_fn_json_round_trip():
     f = PartialFn.from_mapping(3, 2, {(0, 1): 2, (1, 1): 0})
     data = f.to_json()
     assert PartialFn.from_json(data) == f
+    for field, value in (("k", 3.0), ("n", True), ("n", 2.9)):
+        with pytest.raises(EncodingError):
+            PartialFn.from_json({**data, field: value})
+    # a repeated argument tuple is refused, not overwritten by its last value
+    with pytest.raises(EncodingError, match="listed twice"):
+        PartialFn.from_json({"k": 2, "n": 1, "graph": [[[0], 0], [[0], 1]]})
 
 
 def test_package_all_lists_every_public_name_and_no_module():
