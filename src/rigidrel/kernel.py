@@ -4,7 +4,9 @@ Tuples of arity h are ranked in base k with the first entry most
 significant.  Relations are dense bit-masks over tuple ranks, stored
 little-endian by bit position (bit r lives in byte r // 8 at bit r % 8),
 so membership tests are O(1) byte lookups even for masks of millions of
-bits.  Partial functions are kept as explicit graphs.
+bits.  Only this module reads mask bytes: other modules probe a relation
+through ``contains_rank``, ``bits``, ``first_missing`` and the lazy member
+walk ``iter_ranks``.  Partial functions are kept as explicit graphs.
 """
 
 from __future__ import annotations
@@ -151,16 +153,6 @@ def mask_bits(mask: int):
     return tuple(out)
 
 
-def mask_ranks(mask: bytes):
-    """Set bit positions of a little-endian byte mask, ascending, lazily:
-    a caller that stops early never scans the rest of the mask."""
-    for i, byte in enumerate(mask):
-        if byte:
-            base = i << 3
-            for b in _BYTE_BITS[byte]:
-                yield base + b
-
-
 @dataclass(frozen=True)
 class Relation:
     """Finite relation of arity h over {0..k-1}, stored as a dense bit-mask."""
@@ -223,18 +215,46 @@ class Relation:
     def __contains__(self, entries) -> bool:
         return self.contains_rank(tuple_rank(entries, self.k))
 
+    def bits(self, ranks) -> int:
+        """The int whose bit i is set iff ranks[i] is a member; no range check."""
+        mask, m = self.mask, 0
+        for i, r in enumerate(ranks):
+            if mask[r >> 3] >> (r & 7) & 1:
+                m |= 1 << i
+        return m
+
+    def first_missing(self, ranks) -> int:
+        """The index of the first non-member in ranks, or -1; no range check."""
+        mask = self.mask
+        for i, r in enumerate(ranks):
+            if not mask[r >> 3] >> (r & 7) & 1:
+                return i
+        return -1
+
+    def iter_ranks(self):
+        """Member ranks, ascending, lazily: leading zero bytes are skipped
+        at C speed, and a caller that stops early scans no further."""
+        mask = self.mask
+        rest = mask.lstrip(b"\0")
+        base = 8 * (len(mask) - len(rest))
+        for byte in rest:
+            if byte:
+                for b in _BYTE_BITS[byte]:
+                    yield base + b
+            base += 8
+
     @cached_property
     def size(self) -> int:
         return int.from_bytes(self.mask, "little").bit_count()
 
     @property
     def is_empty(self) -> bool:
-        return self.size == 0
+        return not any(self.mask)  # stops at the first member's byte
 
     @cached_property
     def ranks(self):
         """Member ranks, ascending."""
-        return tuple(mask_ranks(self.mask))
+        return tuple(self.iter_ranks())
 
     @cached_property
     def members(self):

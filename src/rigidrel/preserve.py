@@ -107,7 +107,6 @@ def preserves(f: PartialFn, rho: Relation) -> PreservationVerdict:
             p = args[:j]
             table[p] = table.get(p, 0) | 1 << v
     weights = tuple(k ** (h - 1 - i) for i in range(h))
-    mask = rho.mask
     escapes: dict = {}
 
     def can_escape(masks) -> bool:
@@ -117,10 +116,8 @@ def preserves(f: PartialFn, rho: Relation) -> PreservationVerdict:
                 [v * w for v in range(k) if m >> v & 1]
                 for m, w in zip(masks, weights)
             )
-            hit = escapes[masks] = any(
-                not mask[r >> 3] >> (r & 7) & 1
-                for r in map(sum, itertools.product(*choices))
-            )
+            ranks = map(sum, itertools.product(*choices))
+            hit = escapes[masks] = rho.first_missing(ranks) >= 0
         return hit
 
     def search(j, rows, cols):

@@ -24,7 +24,6 @@ from .kernel import (
     _surjective_patterns,
     all_partial_unary,
     mask_bits,
-    mask_ranks,
     subsets_colex,
     tuple_unrank,
 )
@@ -125,13 +124,13 @@ def _relabellings(ell: int, h: int) -> tuple:
     surjective ell-symbol pattern of length h; move sends it to the bit of
     that pattern relabelled by the inverse of perm, which is the pattern
     the tuple reordered by perm must carry."""
-    patterns = _surjective_patterns(h, ell)
-    index = {p: i for i, p in enumerate(patterns)}
+    index = {bytes(p): i for i, p in enumerate(_surjective_patterns(h, ell))}
     out = []
     for perm in itertools.permutations(range(ell)):
         # pattern p of the image comes from the pattern perm o p
-        src = [index[tuple(perm[e] for e in p)] for p in patterns]
-        out.append((perm, _bit_map(src, len(patterns))))
+        table = bytes.maketrans(bytes(range(ell)), bytes(perm))
+        src = [index[p.translate(table)] for p in index]
+        out.append((perm, _bit_map(src, len(index))))
     return tuple(out)
 
 
@@ -191,32 +190,27 @@ def omega_contained(rho: Relation, ell: int) -> RigidityReport:
     field means "containment holds".
     """
     _require_usable(rho, ell)
-    k, h, mask = rho.k, rho.h, rho.mask
+    k, h = rho.k, rho.h
     if ell == 2:  # the one small kernel is the constant one: test the diagonal
         step = (k**h - 1) // (k - 1)  # the rank of (1, ..., 1)
-        for r in range(0, k * step, step):
-            if not mask[r >> 3] >> (r & 7) & 1:
-                i = len(mask) - len(mask.lstrip(b"\0"))  # first member: lowest set bit
-                first = 8 * i + (mask[i] & -mask[i]).bit_length() - 1
-                return _omega_failure(k, h, first, (r // step,) * h)
+        c = rho.first_missing(range(0, k * step, step))
+        if c >= 0:  # the first member fails, mapped onto the missing (c, ..., c)
+            return _omega_failure(k, h, next(rho.iter_ranks()), (c,) * h)
         return RigidityReport(True)
     missing = [
-        kernel
-        for kernel, ranks in _small_kernels(k, h, ell)
-        if not all(mask[r >> 3] >> (r & 7) & 1 for r in ranks)
+        kernel for kernel, ranks in _small_kernels(k, h, ell) if rho.first_missing(ranks) >= 0
     ]
     if not missing:
         return RigidityReport(True)
     fails: dict = {}
-    for r in mask_ranks(mask):
+    for r in rho.iter_ranks():
         kappa, w = _member_shape(k, h, r)
         if kappa not in fails:
             fails[kappa] = any(_coarsens(m, kappa) for m in missing)
         if fails[kappa]:
             for vals in itertools.product(range(k), repeat=len(w)):
                 if len(set(vals)) < ell:
-                    t = sum(map(mul, vals, w))
-                    if not mask[t >> 3] >> (t & 7) & 1:
+                    if not rho.contains_rank(sum(map(mul, vals, w))):
                         return _omega_failure(k, h, r, vals)
     return RigidityReport(True)
 
@@ -228,16 +222,11 @@ def _trace_masks(rho: Relation, ell: int) -> dict:
     relation are equivariant, so the increasing x reordered by perm
     carries move(trace(x)), for each relabelling (perm, move).  The keys
     are not in lex order."""
-    mask = rho.mask
     weights = [w for _, w in _pattern_weights(rho.k, rho.h, ell)]
-    probed = []
-    for x in itertools.combinations(range(rho.k), ell):
-        m = 0
-        for bit, w in enumerate(weights):
-            r = sum(map(mul, x, w))
-            if mask[r >> 3] >> (r & 7) & 1:
-                m |= 1 << bit
-        probed.append((x, m))
+    probed = [
+        (x, rho.bits([sum(map(mul, x, w)) for w in weights]))
+        for x in itertools.combinations(range(rho.k), ell)
+    ]
     out = dict(probed)
     # the identity comes first and keeps the probed masks
     for perm, move in _relabellings(ell, rho.h)[1:]:
@@ -280,7 +269,6 @@ def is_hereditarily_ell_rigid(rho: Relation, ell: int) -> RigidityReport:
     relation is hereditarily 1-rigid.  Arities below ell fail with all
     traces empty.
     """
-    _require_usable(rho, ell)
     contained = omega_contained(rho, ell)
     if not contained.verdict:
         return contained

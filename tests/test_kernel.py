@@ -21,7 +21,6 @@ from rigidrel.kernel import (
     is_partial_projection,
     is_trivial,
     mask_bits,
-    mask_ranks,
     subsets_colex,
     tuple_rank,
     tuple_unrank,
@@ -157,16 +156,46 @@ def test_relation_membership():
         rho.contains_rank(9)
 
 
-def test_mask_ranks_walks_set_bits_lazily():
+def test_iter_ranks_walks_set_bits_lazily():
     rng = random.Random(11)
-    for nbytes in (1, 2, 5, 40):
-        mask = bytes(rng.choice((0, 0, 1, 128, 255, rng.randrange(256))) for _ in range(nbytes))
-        bits = int.from_bytes(mask, "little")
-        assert list(mask_ranks(mask)) == [r for r in range(8 * nbytes) if bits >> r & 1]
+    for k, h in ((2, 3), (2, 4), (3, 3), (2, 8), (5, 3)):
+        total = k**h
+        ranks = sorted(rng.sample(range(total), rng.randrange(total + 1)))
+        rho = Relation.from_ranks(k, h, ranks)
+        assert list(rho.iter_ranks()) == list(rho.ranks) == ranks
     # the lowest set bit comes first, past a leading run of zero bytes
-    assert next(mask_ranks(bytes([0, 0, 0b100]) + bytes(10**6))) == 18
+    assert next(Relation.from_ranks(2, 5, (18, 20)).iter_ranks()) == 18
     rho = Relation.from_ranks(3, 3, (0, 7, 8, 9, 26))
-    assert rho.ranks == tuple(mask_ranks(rho.mask)) == (0, 7, 8, 9, 26)
+    assert rho.ranks == tuple(rho.iter_ranks()) == (0, 7, 8, 9, 26)
+
+
+def test_batched_probes_agree_with_contains_rank():
+    rng = random.Random(16)
+    for k, h in ((2, 3), (3, 2), (3, 3), (5, 2)):
+        total = k**h
+        for _ in range(20):
+            rho = Relation.from_ranks(k, h, rng.sample(range(total), rng.randrange(total + 1)))
+            assert list(rho.iter_ranks()) == [r for r in range(total) if rho.contains_rank(r)]
+            for n in (0, 1, 3, total, 2 * total):
+                probe = [rng.randrange(total) for _ in range(n)]
+                if n:
+                    probe.append(probe[0])  # repeated ranks read alike
+                hits = [rho.contains_rank(r) for r in probe]
+                assert rho.bits(probe) == sum(hit << i for i, hit in enumerate(hits))
+                assert rho.first_missing(probe) == (hits.index(False) if False in hits else -1)
+                assert rho.first_missing(iter(probe)) == rho.first_missing(probe)
+    empty = Relation.empty(3, 2)
+    assert empty.bits([]) == 0 and empty.first_missing([]) == -1
+    assert list(empty.iter_ranks()) == []
+    # the walk is lazy behind 1 MB of leading zero bytes
+    far = 8 * 10**6
+    rho = Relation.from_ranks(2, 24, (far + 2, far + 9, 2**24 - 1))
+    walk = rho.iter_ranks()
+    assert isinstance(walk, types.GeneratorType)
+    assert next(walk) == far + 2
+    assert list(walk) == [far + 9, 2**24 - 1]
+    assert rho.bits([far + 9, 0, far + 2]) == 0b101
+    assert rho.first_missing([far + 2, far + 9, far]) == 2
 
 
 def test_relation_support_index_reconstructs_members():

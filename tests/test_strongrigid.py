@@ -513,11 +513,10 @@ def test_chain_inclusion_guard():
 
 
 def test_repeat_identification():
-    for h in range(3, 6):
-        for t in range(2, h):
+    # t = 1 included: chain inclusion at every arity rests on it
+    for h in range(2, 6):
+        for t in range(1, h):
             assert repeat_identifies(t, h)
-    # the identification holds at t = 1 too under this formulation
-    assert repeat_identifies(1, 2)
     with pytest.raises(ValueError):
         repeat_identifies(0, 2)
     with pytest.raises(ValueError):
