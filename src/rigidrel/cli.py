@@ -48,8 +48,8 @@ from .strongrigid import (
 
 
 # raised by unreadable or malformed input files (JSON and encoding errors are
-# ValueErrors)
-_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError)
+# ValueErrors; JSON nested too deep for the decoder raises RecursionError)
+_LOAD_ERRORS = (OSError, ValueError, KeyError, TypeError, RecursionError)
 
 
 def _dump(obj) -> str:
@@ -164,6 +164,10 @@ def cmd_classify(args) -> int:
     jobs = args.jobs
     if jobs < 1:
         print(f"error: need jobs >= 1, got {jobs}", file=sys.stderr)
+        return 2
+    dests = [os.path.realpath(path) for path in (args.out, args.summary) if path]
+    if len(dests) > len(set(dests)):  # the JSONL would overwrite the CSV
+        print("error: --out and --summary name the same file", file=sys.stderr)
         return 2
     total = 2 ** (k**h)
     start = max(1, args.resume_from)

@@ -7,12 +7,13 @@ fix the whole relation: all low-diversity tuples plus each increasing
 tuple composed with its patterns.  When the sets, with their images
 under the permutations, are pairwise strictly incomparable, that
 relation is hereditarily ell-rigid.  Sperner's theorem bounds how large
-the base set can get.  Both constructors run one body, _construct: it
-picks the sets of the increasing tuples from a middle layer of the
-pattern power set, composes the relation from them, and verifies it
-once, from its members; at ell >= 3 it first holds back one free orbit
-of patterns.  AbstractTrace and its validate serve user-supplied traces,
-which give every injective tuple.
+the base set can get.  An AbstractTrace holds exactly those sets, so it
+is equivariant as stored, and rho_from_trace builds its relation.  There
+is one path from sets to a relation: picks -> AbstractTrace ->
+rho_from_trace -> verify.  Both constructors run it in one body,
+_construct: it picks the sets from a middle layer of the pattern power
+set (at ell >= 3 after holding back one free orbit of patterns), builds
+the relation of that trace, and verifies it once, from its members.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter, mul
+from operator import mul
 
 from .kernel import (
     CapacityError,
@@ -158,71 +159,53 @@ def _ground_size(ell: int, h: int) -> int:
 
 @dataclass(frozen=True)
 class AbstractTrace:
-    """A user-supplied trace assignment, to be validated before use: a mask
-    per injective ell-tuple, in the bit order of rigidity's trace masks
-    (bit i is the i-th sorted surjective pattern; bits past those stand
-    for patterns that are not surjective)."""
+    """A trace held at the increasing ell-tuples: masks[i] is the mask of
+    the i-th tuple of itertools.combinations(range(k), ell), in the bit
+    order of rigidity's trace masks (bit i is the i-th sorted surjective
+    pattern; bits past those stand for patterns that are not surjective).
+    Each other injective tuple carries the mask of its sorted form, moved
+    by the relabelling that reorders it, so the trace is equivariant as
+    stored."""
 
     ell: int
     h: int
     k: int
-    masks: tuple  # (x, mask) pairs sorted by x
+    masks: tuple
 
     @classmethod
     def from_dict(cls, ell: int, h: int, k: int, mapping) -> "AbstractTrace":
-        """From a mapping of tuples to sets of patterns."""
-        patterns = _surjective_patterns(h, ell)
-        bit = {p: 1 << i for i, p in enumerate(patterns)}
-        foreign = 1 << len(patterns)
-        masks = sorted(
-            (tuple(x), sum({bit.get(p, foreign) for p in v}))
-            for x, v in mapping.items()
-        )
+        """From a mapping of exactly the increasing tuples to sets of patterns."""
+        bit = {p: 1 << i for i, p in enumerate(_surjective_patterns(h, ell))}
+        foreign = 1 << len(bit)
+        table = {tuple(x): v for x, v in mapping.items()}
+        increasing = list(itertools.combinations(range(k), ell))
+        if table.keys() != set(increasing):
+            raise TraceError(f"keys must be exactly the increasing {ell}-tuples of range({k})")
+        masks = (sum({bit.get(p, foreign) for p in table[x]}) for x in increasing)
         return cls(ell, h, k, tuple(masks))
 
     def validate(self) -> None:
-        """Raise TraceError unless the assignment is total over the
-        injective ell-tuples, draws from the surjective patterns, and is
-        equivariant under permutations of the pattern alphabet.  That is
-        checked at the increasing tuples, each under every permutation: the
-        relabellings compose, so any other tuple passes once the increasing
-        one it reorders, which comes before it in lex order, does."""
-        ell, h, k = self.ell, self.h, self.k
-        if [x for x, _ in self.masks] != list(itertools.permutations(range(k), ell)):
-            raise TraceError("assignment must cover exactly the injective tuples")
-        n = surjection_count(h, ell)
-        for x, m in self.masks:
+        """Raise TraceError unless there is one mask per increasing tuple
+        and no mask has a bit past the surjective patterns."""
+        increasing = list(itertools.combinations(range(self.k), self.ell))
+        if len(self.masks) != len(increasing):
+            raise TraceError(f"need {len(increasing)} masks, one per increasing tuple")
+        n = surjection_count(self.h, self.ell)
+        for x, m in zip(increasing, self.masks):
             if m >> n:
                 raise TraceError(f"trace at {x} uses non-surjective patterns")
-        table = dict(self.masks)
-        # the identity comes first and cannot fail
-        moves = [(p, itemgetter(*p), move) for p, move in _relabellings(ell, h)[1:]]
-        for x in itertools.combinations(range(k), ell):
-            for perm, reorder, move in moves:
-                if table[reorder(x)] != move(table[x]):
-                    raise TraceError(
-                        f"not equivariant at {x} under permutation {perm}"
-                    )
 
 
 def rho_from_trace(tr: AbstractTrace) -> Relation:
-    """Relation generated by an abstract trace: every tuple with fewer
-    than ell distinct entries, plus each trace pattern composed with its
-    tuple.  Non-equivariant assignments are rejected.  A reordered tuple
-    carrying the relabelled patterns gives the same members, so only the
-    increasing tuples are composed, each member once."""
+    """The relation of a trace, once validated: every tuple with fewer
+    than ell distinct entries, plus each increasing tuple composed with the
+    patterns of its mask.  A reordered tuple carrying the relabelled
+    patterns gives the same members, so these are all of them, each once."""
     tr.validate()
-    table = dict(tr.masks)
-    increasing = itertools.combinations(range(tr.k), tr.ell)
-    return _compose(tr.k, tr.h, tr.ell, ((x, table[x]) for x in increasing))
-
-
-def _compose(k: int, h: int, ell: int, picks) -> Relation:
-    """Every tuple with fewer than ell distinct entries, plus each set bit
-    of each (x, mask) pair of picks composed with the tuple x."""
+    k, h, ell = tr.k, tr.h, tr.ell
     weights = [w for _, w in _pattern_weights(k, h, ell)]
     ranks = [r for _, low in _small_kernels(k, h, ell) for r in low]
-    for x, m in picks:
+    for x, m in zip(itertools.combinations(range(k), ell), tr.masks):
         while m:
             low = m & -m
             ranks.append(sum(map(mul, x, weights[low.bit_length() - 1])))
@@ -233,13 +216,11 @@ def _compose(k: int, h: int, ell: int, picks) -> Relation:
 def construct_2rigid(k: int, h: int) -> Relation:
     """Build and verify a hereditarily 2-rigid h-ary relation on k points.
 
-    Each unordered pair {a, b}, in lexicographic order, gets the first
+    Each pair (a, b) with a < b, in lexicographic order, gets the first
     fresh set of the middle layer over the two-symbol surjective patterns,
-    in colex order (see _assign); in the composed relation the reversed
-    pair carries its dual.  The dual pairs the patterns off, and each set
-    has an odd number 2**(h-1) - 1 of them, so no set is its own dual.
-    The counting criterion is checked up front and the composed relation
-    is verified before being returned.
+    in colex order (see _assign), and (b, a) carries its dual.  The dual
+    pairs the patterns off, and each set has an odd number 2**(h-1) - 1 of
+    them, so no set is its own dual.
     """
     if k < 2 or h < 1:
         raise ValueError("need k >= 2, h >= 1")
@@ -250,12 +231,10 @@ def construct_ellrigid(k: int, ell: int, h: int) -> Relation:
     """Build and verify a hereditarily ell-rigid relation for ell >= 3.
 
     The first pattern y and its orbit under alphabet permutations are held
-    back: each picked set is tagged with the bit of y, which a reordered
-    tuple carries moved by its permutation.  Each increasing ell-subset of
-    the base set gets the first set, from the middle layer over the
-    remaining patterns in colex order, whose orbit is free and not yet
-    taken (see _assign); in the composed relation the reordered tuples
-    carry its images.  The relation is verified before being returned.
+    back: each picked set is tagged with the bit of y.  Each increasing
+    ell-tuple gets the first set, from the middle layer over the remaining
+    patterns in colex order, whose orbit is free and not yet taken (see
+    _assign), and each reordering of the tuple carries its image.
     """
     if ell < 3:
         raise ValueError("construct_ellrigid needs ell >= 3 (ell = 2 has its own constructor)")
@@ -268,11 +247,12 @@ def construct_ellrigid(k: int, ell: int, h: int) -> Relation:
 
 def _construct(k: int, ell: int, h: int) -> Relation:
     """The body of both constructors: check the counting criterion, pick a
-    set for each increasing tuple (see _assign), compose the relation and
-    verify it from its members.  There the trace of an injective x is the
-    set picked for sorted(x), moved, so the verification compares exactly
-    the picked masks and their images.  Holding back the orbit of the
-    first pattern, whose bit tags every pick, is the only ell >= 3 branch."""
+    set for each increasing tuple (see _assign), build the relation of that
+    AbstractTrace with rho_from_trace and verify it from its members.
+    There the trace of an injective x is the set picked for sorted(x),
+    moved, so the verification compares exactly the picked masks and their
+    images.  Holding back the orbit of the first pattern, whose bit tags
+    every pick, is the only ell >= 3 branch."""
     need, m = math.perm(k, ell), _ground_size(ell, h)
     if not _fits_middle_layer(need, m):
         head = (
@@ -291,22 +271,20 @@ def _construct(k: int, ell: int, h: int) -> Relation:
         ground = [i for i in range(n) if 1 << i not in y_orbit]
         where = dict(zip(ground, range(m)))
         stream, tag = map(_bit_map([where.get(i) for i in range(n)], m), stream), 1
-    rho = _compose(k, h, ell, _assign(k, ell, h, stream, tag))
+    rho = rho_from_trace(AbstractTrace(ell, h, k, tuple(_assign(k, ell, h, stream, tag))))
     report = is_hereditarily_ell_rigid(rho, ell)
     if not report.verdict:
         raise ConstructionError(
-            f"constructed relation failed verification on side "
-            f"{report.failing_side}",
-            report,
+            f"constructed relation failed verification on side {report.failing_side}", report
         )
     return rho
 
 
-def _assign(k: int, ell: int, h: int, stream, tag: int) -> list:
-    """The (rep, x | tag) pairs, rep running over the increasing ell-tuples
-    in combinations order, where x is the first mask of stream that is not
-    taken and whose orbit under the relabellings is free.  In the composed
-    relation, rep reordered by a permutation carries x | tag, both moved.
+def _assign(k: int, ell: int, h: int, stream, tag: int):
+    """Yield one mask x | tag per increasing ell-tuple, in combinations
+    order, where x is the first mask of stream that is not taken and whose
+    orbit under the relabellings is free.  In the composed relation, the
+    tuple reordered by a permutation carries x | tag, both moved.
 
     The relabellings form a group acting on masks, and the stream is a
     union of orbits, so orbits are equal or disjoint: x is free of the
@@ -318,9 +296,8 @@ def _assign(k: int, ell: int, h: int, stream, tag: int) -> list:
     moves = [move for _, move in _relabellings(ell, h)[1:]]  # the identity comes first
     left = 64 * math.comb(k, ell) + 256  # free masks still to draw
     taken = set()
-    picks = []
     stream = iter(stream)
-    for rep in itertools.combinations(range(k), ell):
+    for _ in range(math.comb(k, ell)):
         for x in stream:
             if x in taken:
                 left -= 1
@@ -335,5 +312,4 @@ def _assign(k: int, ell: int, h: int, stream, tag: int) -> list:
             )
         taken.add(x)
         taken.update(images)
-        picks.append((rep, x | tag))
-    return picks
+        yield x | tag

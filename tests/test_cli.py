@@ -88,6 +88,21 @@ def test_check_malformed_tuples_exit_two(tmp_path, capsys):
         _assert_one_line_error(capsys)
 
 
+def test_deeply_nested_json_exit_two(tmp_path, capsys):
+    # the JSON decoder recurses once per level and gives up past the limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for argv in (
+        ["check", "--relation", str(deep), "--ell", "2"],
+        ["strong", "--suite", "witness", "--fn-file", str(deep)],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot load ")
+        assert captured.err.count("\n") == 1, captured.err
+
+
 def test_check_missing_args_exit_two(capsys):
     assert main(["check"]) == 2
     assert main(["bogus-command"]) == 2
@@ -256,6 +271,22 @@ def test_classify_missing_directory_exit_two(tmp_path, capsys):
         assert captured.err.count("\n") == 1 and "classified" not in captured.err
     assert not missing.exists()
     assert good.read_text() == ""  # opened, but the sweep never ran
+
+
+def test_classify_same_out_and_summary_exit_two(tmp_path, capsys, monkeypatch):
+    # the JSONL would overwrite the CSV, so the pair is refused before
+    # either file is opened
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "c.txt"
+    target.write_text("kept\n")
+    (tmp_path / "link.txt").symlink_to(target)
+    for out, summary in (("c.txt", str(target)), ("link.txt", "./c.txt")):
+        argv = ["classify", "--k", "2", "--h", "2", "--ell", "2"]
+        assert main(argv + ["--out", out, "--summary", summary]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out and --summary name the same file\n"
+    assert target.read_text() == "kept\n"
 
 
 def test_classify_capacity_guard(capsys):
