@@ -37,7 +37,6 @@ from .kernel import (
 from .rigidity import is_hereditarily_ell_rigid
 from .strongrigid import (
     NoWitnessError,
-    _require_phi_arity,
     chain_inclusion,
     delta_preserves,
     limit_is_trivial_clone,
@@ -260,7 +259,6 @@ def cmd_strong(args) -> int:
     if args.suite == "phi":
         n = args.n
         h = args.h if args.h is not None else n - 1
-        _require_phi_arity(n)
         f = phi(n)
         nontrivial = not is_trivial(f)
         below = phi_preserves_all(n, h)

@@ -295,6 +295,8 @@ class Relation:
             k, h = _header(data, "k"), _header(data, "h")
         except (KeyError, TypeError) as exc:
             raise EncodingError(f"bad relation object: {exc}") from exc
+        if "mask_hex" in data and "tuples" in data:
+            raise EncodingError("relation object has both 'tuples' and 'mask_hex'")
         if "mask_hex" in data:
             try:
                 mask = bytes.fromhex(data["mask_hex"])

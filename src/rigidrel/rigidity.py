@@ -92,10 +92,36 @@ def verify_report(rho: Relation, ell: int, report: RigidityReport) -> bool:
     return unary_preserves(f, rho).preserved
 
 
+# Most candidate patterns (m**h) and injective m-tuples (k!/(k - m)!) a
+# decision enumerates at image size m.  With `check` on full relations
+# (peak RSS, CPython 3.11) a two-symbol pattern costs about 600 bytes
+# (334 MiB at k = 2, h = 19), a three-symbol one about 750 (398 MiB at
+# k = 3, h = 12), and an injective pair about 150 (338 MiB at k = 1500 and
+# 646 MiB at k = 2048, h = 2).  The smallest sizes refused, h = 20, h = 13
+# and k = 2049, would need more than the 512 MiB that MAX_RANKS allows a
+# mask; refused, they stay near 20 MiB.
+MAX_PATTERNS = 10**6
+MAX_TUPLES = 1 << 22
+
+
 @lru_cache(maxsize=None)
 def _pattern_weights(k: int, h: int, m: int) -> tuple:
     """Sorted surjective h-patterns onto range(m), each with its weights w:
-    the tuple y composed with the pattern has rank sum(y[j] * w[j])."""
+    the tuple y composed with the pattern has rank sum(y[j] * w[j]).
+
+    Every decision passes here before it enumerates patterns or tuples,
+    so this is where a size past MAX_PATTERNS or MAX_TUPLES is refused."""
+    tuples = 1
+    for i in range(m):  # k!/(k - m)!, cut short past the limit (m <= k)
+        tuples *= k - i
+        if tuples > MAX_TUPLES:
+            break
+    if m**h > MAX_PATTERNS or tuples > MAX_TUPLES:
+        raise CapacityError(
+            f"a decision at k={k}, h={h} enumerates {m}**{h} patterns and "
+            f"{k}!/({k}-{m})! tuples, but allows at most {MAX_PATTERNS} "
+            f"patterns and {MAX_TUPLES} tuples"
+        )
     out = []
     for p in _surjective_patterns(h, m):
         w = [0] * m

@@ -20,7 +20,9 @@ answer every (t, h): f preserves every delta(t, h) at arity h iff h is
 below the least i + j over them.  One closure over all the masks likewise
 decides whether f preserves every relation of arity h (_agreement_depth).
 A single (t, h) is decided by delta_preserves' forward pass over the
-masks, which also picks the certificate.
+masks, which also picks the certificate.  These two alone check phi(n),
+the nontrivial function below every family of arity < n, for the phi
+suite, prefix_escape and the chain's separator; phi refuses n > PHI_MAX_N.
 """
 
 from __future__ import annotations
@@ -45,11 +47,9 @@ from .preserve import (
 )
 
 
-# Largest n for which phi(n) is checked, by phi_preserves_all, prefix_escape,
-# the phi suite and as the chain's separator: each check builds an
-# AND-closure over phi(n)'s n rows, which has at most 2**n keys.  The phi
-# suite takes about 0.2 s at n = 14 and doubles with each n (CPython 3.11,
-# 2 vCPU).
+# Largest n for which phi(n) is built: every check of it builds an
+# AND-closure over its n rows, which has at most 2**n keys.  The phi suite
+# takes about 0.2 s at n = 14 and doubles with each n (CPython 3.11, 2 vCPU).
 PHI_MAX_N = 14
 
 
@@ -82,25 +82,21 @@ def phi(n: int) -> PartialFn:
     Its domain is the row (0, 1, ..., 1) plus the rows with a zero first
     entry and a single one in position i for i = 2..n; only the first row
     maps to 1.  Nontrivial, yet it preserves every relation of arity
-    below n.
+    below n.  Refused above PHI_MAX_N, before any row is built.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
+    if n > PHI_MAX_N:
+        raise CapacityError(
+            f"phi(n) is checked through an AND-closure of up to 2**n keys "
+            f"and requires n <= {PHI_MAX_N}, got n={n}"
+        )
     rows = {(0,) + (1,) * (n - 1): 1}
     for i in range(1, n):
         row = [0] * n
         row[i] = 1
         rows[tuple(row)] = 0
     return PartialFn.from_mapping(2, n, rows)
-
-
-def _require_phi_arity(n: int) -> None:
-    """Refuse, before its AND-closure is built, a phi(n) with n > PHI_MAX_N."""
-    if n > PHI_MAX_N:
-        raise CapacityError(
-            f"phi(n) is checked through an AND-closure of up to 2**n keys "
-            f"and requires n <= {PHI_MAX_N}, got n={n}"
-        )
 
 
 def phi_preserves_all(n: int, h: int) -> bool:
@@ -113,7 +109,6 @@ def phi_preserves_all(n: int, h: int) -> bool:
         raise ValueError(f"need h < n, got h={h}, n={n}")
     if h < 1:
         raise ValueError(f"need h >= 1, got {h}")
-    _require_phi_arity(n)
     return h < _agreement_depth(phi(n))
 
 
@@ -181,7 +176,8 @@ def _agreement_depth(f: PartialFn):
 
 
 def _sweep_levels():
-    """A _break_levels for one sweep, with its closures memoised per mask set.
+    """f's least pairs (i, j) of closure levels breaking a delta relation,
+    as a map of f for one sweep, its closures memoised per mask set.
 
     An AND a of i one-row agreement masks and an AND b of j zero-row ones
     with a & b == 0 give a matrix whose image is the excluded tuple of
@@ -190,8 +186,8 @@ def _sweep_levels():
     mask set, so each is built once per sweep, keyed by the masks; the
     zero side is then reduced to best[a], the least depth j of a key b
     with a & b == 0, or 0 when no key has that.  best is filled in as the
-    one-side keys a ask for it: a table over every a < 2**n would cost
-    2**n entries at phi(PHI_MAX_N), whose one side has a single key.
+    one-side keys a ask for it, not as a table over every a < 2**n: a
+    one side often has far fewer keys than that.
     The pairs (i, best[a]) are the least of f's breaking pairs: every other
     one is (i, j) with j >= best[a], and _breaks and _in_family are
     monotone, so they give the same answers on these pairs.
@@ -220,21 +216,14 @@ def _sweep_levels():
     return levels
 
 
-def _break_levels(f: PartialFn) -> frozenset:
-    """The least pairs (i, j) of closure levels at which f breaks a delta
-    relation (see _sweep_levels).  The pairs depend on f alone: one pair
-    test over the two closures answers every (t, h)."""
-    return _sweep_levels()(f)
-
-
 def _breaks(levels: frozenset, t: int, h: int) -> bool:
-    """Does some matrix break delta(t, h), given f's _break_levels?"""
+    """Does some matrix break delta(t, h), given f's pairs (see _sweep_levels)?"""
     return any(i <= t and j <= h - t for i, j in levels)
 
 
 def _in_family(levels: frozenset, h: int) -> bool:
-    """Does f, given its _break_levels, preserve every delta(t, h) with
-    1 <= t < h?
+    """Does f, given its pairs (see _sweep_levels), preserve every
+    delta(t, h) with 1 <= t < h?
 
     A pair (i, j) breaks delta(t, h) for some such t iff i <= t <= h - j
     has a solution, that is iff i + j <= h; so membership is a threshold
@@ -336,7 +325,8 @@ def verify_witness(f: PartialFn, w: NontrivialityWitness) -> bool:
 def chain_inclusion(h: int, arity_cap: int, dom_cap=None) -> bool:
     """Preserving the (h+1)-ary family implies preserving the h-ary one,
     swept over all partial functions on {0, 1} up to the caps, and the
-    inclusion is strict: phi(h+1) separates the two stages."""
+    inclusion is strict: phi(h+1) separates the two stages, since it is
+    nontrivial, preserves every h-ary relation and breaks delta(1, h+1)."""
     if h < 2:
         raise ValueError(f"need h >= 2, got {h}")
     if arity_cap < 1:
@@ -345,10 +335,7 @@ def chain_inclusion(h: int, arity_cap: int, dom_cap=None) -> bool:
         raise CapacityError("chain_inclusion sweeps 3**(2**n) functions, arity_cap <= 3")
     if dom_cap is not None and dom_cap < 0:
         raise ValueError(f"need dom_cap >= 0, got {dom_cap}")
-    if h >= PHI_MAX_N:
-        raise CapacityError(
-            f"chain_inclusion separates with phi(h + 1) and requires h < {PHI_MAX_N}"
-        )
+    sep = phi(h + 1)  # refused above PHI_MAX_N before the sweep
     levels_of = _sweep_levels()
     for n in range(1, arity_cap + 1):
         for f in all_partial_fns(2, n):
@@ -357,11 +344,11 @@ def chain_inclusion(h: int, arity_cap: int, dom_cap=None) -> bool:
             levels = levels_of(f)
             if _in_family(levels, h + 1) and not _in_family(levels, h):
                 return False
-    sep = phi(h + 1)
-    if is_trivial(sep):
-        return False
-    levels = _break_levels(sep)
-    return _in_family(levels, h) and not _in_family(levels, h + 1)
+    return (
+        not is_trivial(sep)
+        and phi_preserves_all(h + 1, h)
+        and not delta_preserves(sep, 1, h + 1).preserved
+    )
 
 
 def repeat_identifies(t: int, h: int) -> bool:
@@ -390,12 +377,11 @@ def prefix_escape(h0: int) -> PartialFn:
     """
     if h0 < 2:
         raise ValueError(f"need h0 >= 2, got {h0}")
-    _require_phi_arity(h0 + 1)
     f = phi(h0 + 1)
     if is_trivial(f):
         raise RuntimeError("separating function unexpectedly trivial")
-    # membership is a threshold in h (see _in_family): h0 covers 2..h0
-    if not _in_family(_break_levels(f), h0):
+    # h0 < d(f) covers every relation of arity 1..h0 (see _agreement_depth)
+    if not phi_preserves_all(h0 + 1, h0):
         raise RuntimeError(f"separating function escapes a family of arity <= {h0}")
     return f
 

@@ -13,7 +13,7 @@ from rigidrel import cli
 from rigidrel.cli import main
 from rigidrel.kernel import CapacityError, PartialFn, Relation
 from rigidrel.rigidity import is_hereditarily_ell_rigid
-from rigidrel.strongrigid import PHI_MAX_N, _require_phi_arity
+from rigidrel.strongrigid import PHI_MAX_N, phi
 
 LEQ2 = Relation.from_tuples(2, 2, [(0, 0), (0, 1), (1, 1)])
 
@@ -82,7 +82,11 @@ def test_check_dense_capacity_guard_exit_two(tmp_path, capsys):
 
 def test_check_malformed_tuples_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    for text in ('{"k":3,"h":2,"tuples":5}', '{"k":3,"h":2,"tuples":[[0,"a"]]}'):
+    for text in (
+        '{"k":3,"h":2,"tuples":5}',
+        '{"k":3,"h":2,"tuples":[[0,"a"]]}',
+        '{"k":2,"h":2,"tuples":[[0,0]],"mask_hex":"0f"}',  # both forms at once
+    ):
         bad.write_text(text)
         assert main(["check", "--relation", str(bad), "--ell", "2"]) == 2
         _assert_one_line_error(capsys)
@@ -448,7 +452,7 @@ def test_strong_phi(capsys):
     # refused before phi(n) and its AND-closure of up to 2**n keys are built
     assert main(["strong", "--suite", "phi", "--n", str(PHI_MAX_N + 1), "--h", "3"]) == 2
     with pytest.raises(CapacityError) as info:
-        _require_phi_arity(PHI_MAX_N + 1)
+        phi(PHI_MAX_N + 1)
     assert capsys.readouterr().err == f"error: {info.value}\n"
 
 
@@ -604,6 +608,7 @@ BAD_RELATIONS = (
     '{"k":2,"h":1e400,"mask_hex":""}',
     '{"k":"two","h":2,"tuples":[]}',
     '{"k":18446744073709551616,"h":2,"tuples":[]}',
+    '{"k":2,"h":2,"tuples":[[0,0]],"mask_hex":"0f"}',
 )
 
 BAD_FUNCTIONS = (

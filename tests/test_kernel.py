@@ -233,6 +233,8 @@ def test_relation_from_json_rejects_garbage():
         Relation.from_json({"k": 2, "h": 1, "mask_hex": "zz"})
     with pytest.raises(EncodingError):
         Relation.from_json({"h": 1, "mask_hex": "01"})
+    with pytest.raises(EncodingError):  # neither form wins over the other
+        Relation.from_json({"k": 2, "h": 1, "tuples": [[0]], "mask_hex": "01"})
     for k in (True, 2.0, 2.9, "2"):  # header fields are not converted
         with pytest.raises(EncodingError):
             Relation.from_json({"k": k, "h": 1, "mask_hex": "01"})

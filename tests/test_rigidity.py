@@ -18,9 +18,13 @@ from rigidrel.kernel import (
     mask_bits,
     subsets_colex,
 )
+from rigidrel import rigidity
 from rigidrel.preserve import ppol1, unary_preserves
 from rigidrel.rigidity import (
+    MAX_PATTERNS,
+    MAX_TUPLES,
     EmptyRelationError,
+    _pattern_weights,
     _trace_masks,
     RigidityReport,
     brute_force_rigidity,
@@ -202,6 +206,31 @@ def test_brute_force_definition():
 def test_brute_force_capacity_guard():
     with pytest.raises(CapacityError):
         brute_force_rigidity(Relation.diagonal(6, 1), 2)
+
+
+def test_decision_refuses_past_the_pattern_and_tuple_limits(monkeypatch):
+    # each size is the smallest refused, with the largest admitted below it
+    assert 3**12 <= MAX_PATTERNS < 2**20 and 2048 * 2047 <= MAX_TUPLES < 2049 * 2048
+    with monkeypatch.context() as mp:
+        mp.setattr(rigidity, "_surjective_patterns", lambda n, m: ())
+        for k, h, m in ((2, 19, 2), (3, 12, 3), (2048, 2, 2), (2**22, 1, 1)):
+            assert _pattern_weights.__wrapped__(k, h, m) == ()
+
+        def unbounded(n, m):
+            raise AssertionError("patterns enumerated past the guard")
+
+        mp.setattr(rigidity, "_surjective_patterns", unbounded)
+        for k, h, m in ((2, 20, 2), (3, 13, 3), (2049, 2, 2), (2**16, 1, 1000)):
+            with pytest.raises(CapacityError):
+                _pattern_weights.__wrapped__(k, h, m)
+    # end to end: omega containment holds, and the trace is refused
+    for rho, ell in (
+        (Relation.diagonal(2, 20), 2),
+        (Relation.from_tuples(3, 13, beta_lt(3, 13, range(3))), 3),
+        (Relation.diagonal(2049, 2), 2),
+    ):
+        with pytest.raises(CapacityError):
+            is_hereditarily_ell_rigid(rho, ell)
 
 
 # -- omega containment and orbit closure -------------------------------------

@@ -16,11 +16,15 @@ from rigidrel.kernel import (
     is_trivial,
 )
 from rigidrel import strongrigid
-from rigidrel.preserve import ViolationCertificate, check_certificate, preserves
+from rigidrel.preserve import (
+    PreservationVerdict,
+    ViolationCertificate,
+    check_certificate,
+    preserves,
+)
 from rigidrel.strongrigid import (
     PHI_MAX_N,
     _agreement_depth,
-    _break_levels,
     _breaks,
     _closure_depths,
     _in_family,
@@ -45,6 +49,11 @@ NEG = PartialFn.from_mapping(2, 1, {(0,): 1, (1,): 0})
 XOR = PartialFn.from_mapping(
     2, 2, {t: (t[0] + t[1]) % 2 for t in itertools.product(range(2), repeat=2)}
 )
+
+
+def _break_levels(f):
+    """f's least breaking pairs, from a fresh sweep memo."""
+    return _sweep_levels()(f)
 
 
 # -- the relations ------------------------------------------------------------
@@ -512,6 +521,17 @@ def test_chain_inclusion_guard():
         chain_inclusion(PHI_MAX_N, 1)
 
 
+def test_chain_fails_when_its_separator_fails(monkeypatch):
+    # phi(h + 1) must preserve every h-ary relation and break delta(1, h + 1)
+    assert chain_inclusion(2, 1)
+    with monkeypatch.context() as m:
+        m.setattr(strongrigid, "phi_preserves_all", lambda n, h: False)
+        assert chain_inclusion(2, 1) is False
+    with monkeypatch.context() as m:
+        m.setattr(strongrigid, "delta_preserves", lambda f, t, h: PreservationVerdict(True))
+        assert chain_inclusion(2, 1) is False
+
+
 def test_repeat_identification():
     # t = 1 included: chain inclusion at every arity rests on it
     for h in range(2, 6):
@@ -537,11 +557,14 @@ def test_phi_library_checks_refuse_above_phi_max_n(monkeypatch):
         raise AssertionError("closure built past the guard")
 
     monkeypatch.setattr(strongrigid, "_agreement_depth", unbounded)
-    monkeypatch.setattr(strongrigid, "_break_levels", unbounded)
     with pytest.raises(CapacityError):
         phi_preserves_all(PHI_MAX_N + 1, 3)
     with pytest.raises(CapacityError):
         prefix_escape(PHI_MAX_N)  # its separator is phi(PHI_MAX_N + 1)
+    with pytest.raises(CapacityError):
+        phi(PHI_MAX_N + 1)
+    with pytest.raises(CapacityError):
+        phi(2**64)  # refused before any of its rows is built
 
 
 def test_limit_is_trivial_clone_arity_two():
