@@ -34,8 +34,8 @@ from .construct import (
 from .strongrigid import (
     NontrivialityWitness, NoWitnessError, chain_inclusion, delta,
     delta_preserves, excluded_tuple, limit_is_trivial_clone, phi,
-    phi_preserves_all, prefix_escape, repeat_identifies, verify_witness,
-    witness_nontrivial,
+    phi_facts, phi_preserves_all, prefix_escape, repeat_identifies,
+    verify_witness, witness_nontrivial,
 )
 
 __all__ = [
@@ -55,7 +55,7 @@ __all__ = [
     "sperner_bound_holds", "surjection_count",
     "NontrivialityWitness", "NoWitnessError", "chain_inclusion", "delta",
     "delta_preserves", "excluded_tuple", "limit_is_trivial_clone", "phi",
-    "phi_preserves_all", "prefix_escape", "repeat_identifies",
+    "phi_facts", "phi_preserves_all", "prefix_escape", "repeat_identifies",
     "verify_witness", "witness_nontrivial",
 ]
 __version__ = "0.1.0"

@@ -32,16 +32,13 @@ from .kernel import (
     CapacityError,
     PartialFn,
     Relation,
-    is_trivial,
 )
 from .rigidity import is_hereditarily_ell_rigid
 from .strongrigid import (
     NoWitnessError,
     chain_inclusion,
-    delta_preserves,
     limit_is_trivial_clone,
-    phi,
-    phi_preserves_all,
+    phi_facts,
     witness_nontrivial,
 )
 
@@ -259,22 +256,9 @@ def cmd_strong(args) -> int:
     if args.suite == "phi":
         n = args.n
         h = args.h if args.h is not None else n - 1
-        f = phi(n)
-        nontrivial = not is_trivial(f)
-        below = phi_preserves_all(n, h)
-        fails_own = not delta_preserves(f, 1, n).preserved
-        print(
-            _dump(
-                {
-                    "n": n,
-                    "h": h,
-                    "nontrivial": nontrivial,
-                    "preserves_all_below": below,
-                    "fails_delta_1_n": fails_own,
-                }
-            )
-        )
-        return 0 if nontrivial and below and fails_own else 1
+        facts = phi_facts(n, h)
+        print(_dump({"n": n, "h": h, **facts}))
+        return 0 if all(facts.values()) else 1
     if args.suite == "witness":
         try:
             with open(args.fn_file, "r", encoding="utf-8") as fh:

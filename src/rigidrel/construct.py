@@ -175,6 +175,7 @@ class AbstractTrace:
     @classmethod
     def from_dict(cls, ell: int, h: int, k: int, mapping) -> "AbstractTrace":
         """From a mapping of exactly the increasing tuples to sets of patterns."""
+        _pattern_weights(k, h, ell)  # refuse too many patterns before listing them
         bit = {p: 1 << i for i, p in enumerate(_surjective_patterns(h, ell))}
         foreign = 1 << len(bit)
         table = {tuple(x): v for x, v in mapping.items()}
@@ -262,6 +263,7 @@ def _construct(k: int, ell: int, h: int) -> Relation:
         )
         raise BoundError(f"{head} {need} > C({m},{m // 2}) = {math.comb(m, m // 2)}")
     rank_count(k, h)  # refuse before any work a relation too large to hold
+    _pattern_weights(k, h, ell)  # and a decision too large, before any table
     stream, tag = subsets_colex(m, m // 2), 0
     if ell > 2:
         # the first pattern y (bit 0) tags the permutations; its orbit is free

@@ -213,6 +213,8 @@ class Relation:
         return bool(self.mask[r >> 3] >> (r & 7) & 1)
 
     def __contains__(self, entries) -> bool:
+        if len(entries) != self.h:  # else a tuple of another arity could share a rank
+            raise EncodingError(f"tuple {entries!r} has arity {len(entries)}, expected {self.h}")
         return self.contains_rank(tuple_rank(entries, self.k))
 
     def bits(self, ranks) -> int:

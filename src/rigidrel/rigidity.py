@@ -94,14 +94,15 @@ def verify_report(rho: Relation, ell: int, report: RigidityReport) -> bool:
 
 # Most candidate patterns (m**h) and injective m-tuples (k!/(k - m)!) a
 # decision enumerates at image size m.  With `check` on full relations
-# (peak RSS, CPython 3.11) a two-symbol pattern costs about 600 bytes
-# (334 MiB at k = 2, h = 19), a three-symbol one about 750 (398 MiB at
-# k = 3, h = 12), and an injective pair about 150 (338 MiB at k = 1500 and
-# 646 MiB at k = 2048, h = 2).  The smallest sizes refused, h = 20, h = 13
-# and k = 2049, would need more than the 512 MiB that MAX_RANKS allows a
-# mask; refused, they stay near 20 MiB.
+# (peak RSS of a fresh process, CPython 3.11) the largest sizes admitted
+# each peak near 322 MiB: k = 2, h = 19 (about 640 bytes per two-symbol
+# pattern), k = 3, h = 12 (about 650 per three-symbol one) and k = 1448,
+# h = 2 (about 160 per injective pair).  So every admitted decision stays
+# below the 512 MiB that MAX_RANKS allows a mask: h = 20 and h = 13 would
+# need about 2 and 3 times as much, and a tuple limit of 2**22 admitted
+# k = 2048, which peaks at 646 MiB.  Refused sizes stay near 20 MiB.
 MAX_PATTERNS = 10**6
-MAX_TUPLES = 1 << 22
+MAX_TUPLES = 1 << 21
 
 
 @lru_cache(maxsize=None)
@@ -131,14 +132,24 @@ def _pattern_weights(k: int, h: int, m: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _string_positions(width: int) -> tuple:
+    """At index i, the position width - i of bit i in a mask's binary
+    string of width + 1 digits.  One tuple per width, so the maps of that
+    width share these ints instead of holding a fresh one per entry."""
+    return tuple(range(width, -1, -1))
+
+
 def _bit_map(src, width: int):
     """The map on masks below 2**width whose image has at bit d the bit
     src[d] of its argument, or 0 where src[d] is None.  It shuffles the
     binary string, in which bit i of m is the character at width - i,
-    so it takes time and memory linear in the number of bits."""
+    and bit width is always 0, so it takes time and memory linear in the
+    number of bits."""
     if not src:
         return lambda m: 0
-    pick = itemgetter(*(0 if i is None else width - i for i in reversed(src)))
+    at = _string_positions(width)
+    pick = itemgetter(*(at[width if i is None else i] for i in reversed(src)))
     fmt = f"0{width + 1}b"
     return lambda m: int("".join(pick(format(m, fmt))), 2)
 

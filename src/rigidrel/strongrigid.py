@@ -18,11 +18,14 @@ function, and reduces the zero side to best[a], the least depth of a key
 sharing no bit with a.  The pairs (i, best[a]) over the one-side keys a
 answer every (t, h): f preserves every delta(t, h) at arity h iff h is
 below the least i + j over them.  One closure over all the masks likewise
-decides whether f preserves every relation of arity h (_agreement_depth).
-A single (t, h) is decided by delta_preserves' forward pass over the
-masks, which also picks the certificate.  These two alone check phi(n),
-the nontrivial function below every family of arity < n, for the phi
-suite, prefix_escape and the chain's separator; phi refuses n > PHI_MAX_N.
+decides whether f preserves every relation of arity h (_agreement_depth,
+the Pol-Inv criterion h < d(f)); it reads only the masks of dom(f), so it
+holds on any base set {0..k-1}.  A single (t, h) is decided by
+delta_preserves' forward pass over the masks, which also picks the
+certificate.  These two alone check phi(n), the nontrivial function below
+every family of arity < n: phi_facts is the one home of its three facts,
+which the phi suite prints and the chain's separator needs, and phi
+refuses n > PHI_MAX_N.
 """
 
 from __future__ import annotations
@@ -112,6 +115,18 @@ def phi_preserves_all(n: int, h: int) -> bool:
     return h < _agreement_depth(phi(n))
 
 
+def phi_facts(n: int, h: int) -> dict:
+    """phi(n)'s three facts, keyed as the phi suite prints them: it is
+    nontrivial, it preserves every h-ary relation (h < n) and it breaks
+    delta(1, n).  All three hold for every 1 <= h < n <= PHI_MAX_N."""
+    f = phi(n)
+    return {
+        "nontrivial": not is_trivial(f),
+        "preserves_all_below": phi_preserves_all(n, h),
+        "fails_delta_1_n": not delta_preserves(f, 1, n).preserved,
+    }
+
+
 @functools.lru_cache(maxsize=4096)
 def _agreement_mask(args: tuple, v: int) -> int:
     """The row args as a bitmask over the columns: bit j is set iff
@@ -124,10 +139,9 @@ def _agreement_mask(args: tuple, v: int) -> int:
 
 
 def _row_masks(f: PartialFn) -> tuple:
-    """The agreement masks of dom(f), split into the rows mapping to one
-    and those mapping to zero, each a tuple in graph order."""
-    if f.k != 2:
-        raise DomainMismatchError("delta relations live on a two-element base set")
+    """The agreement masks of dom(f) on {0, 1}, split for the delta sweeps
+    into the rows mapping to one and those mapping to zero, each a tuple
+    in graph order."""
     ones = []
     zeros = []
     for args, val in f.graph:
@@ -162,17 +176,16 @@ def _closure_depths(rows) -> dict:
 
 def _agreement_depth(f: PartialFn):
     """d(f): the fewest rows of dom(f), repeats allowed, whose agreement
-    masks (see _row_masks) AND to 0, or None when no rows do (f is a
-    partial projection).
+    masks AND to 0, or None when no rows do (f is a partial projection).
 
     By the Pol-Inv Galois connection for partial functions, f preserves
     every h-ary relation iff h < d(f): any h rows then share a coordinate
     that f copies, so the image column is a column of the matrix; and d
     rows with no such coordinate, padded with repeats to h rows, have as
-    their columns a relation that f breaks.
+    their columns a relation that f breaks.  Nothing here depends on the
+    size of the base set, so this holds at every k.
     """
-    ones, zeros = _row_masks(f)
-    return _closure_depths(ones + zeros).get(0)
+    return _closure_depths([_agreement_mask(args, v) for args, v in f.graph]).get(0)
 
 
 def _sweep_levels():
@@ -301,8 +314,8 @@ def witness_nontrivial(f: PartialFn) -> NontrivialityWitness:
         raise DomainMismatchError("witnesses live on a two-element base set")
     if is_trivial(f):
         raise NoWitnessError("trivial functions preserve every delta relation")
-    ones = sorted(args for args, val in f.graph if val == 1)
-    zeros = sorted(args for args, val in f.graph if val == 0)
+    ones = [args for args, val in f.graph if val == 1]  # the graph is sorted
+    zeros = [args for args, val in f.graph if val == 0]
     rows = tuple(ones + zeros)
     t, h = len(ones), len(rows)
     v = excluded_tuple(t, h)
@@ -322,6 +335,18 @@ def verify_witness(f: PartialFn, w: NontrivialityWitness) -> bool:
     return check_certificate(cert, f, delta(w.t, w.h))
 
 
+def _swept_functions(arity_cap: int):
+    """The partial functions on {0, 1} of arity 1 .. arity_cap, which a
+    sweep covers; refused at once unless 1 <= arity_cap <= 3, as there are
+    3**(2**n) of arity n."""
+    if arity_cap < 1:
+        raise ValueError(f"need arity_cap >= 1, got {arity_cap}")
+    if arity_cap > 3:
+        raise CapacityError("a sweep covers 3**(2**n) functions, arity_cap <= 3")
+    arities = range(1, arity_cap + 1)
+    return itertools.chain.from_iterable(all_partial_fns(2, n) for n in arities)
+
+
 def chain_inclusion(h: int, arity_cap: int, dom_cap=None) -> bool:
     """Preserving the (h+1)-ary family implies preserving the h-ary one,
     swept over all partial functions on {0, 1} up to the caps, and the
@@ -329,26 +354,18 @@ def chain_inclusion(h: int, arity_cap: int, dom_cap=None) -> bool:
     nontrivial, preserves every h-ary relation and breaks delta(1, h+1)."""
     if h < 2:
         raise ValueError(f"need h >= 2, got {h}")
-    if arity_cap < 1:
-        raise ValueError(f"need arity_cap >= 1, got {arity_cap}")
-    if arity_cap > 3:
-        raise CapacityError("chain_inclusion sweeps 3**(2**n) functions, arity_cap <= 3")
+    functions = _swept_functions(arity_cap)
     if dom_cap is not None and dom_cap < 0:
         raise ValueError(f"need dom_cap >= 0, got {dom_cap}")
-    sep = phi(h + 1)  # refused above PHI_MAX_N before the sweep
+    phi(h + 1)  # the separator, refused above PHI_MAX_N before the sweep
     levels_of = _sweep_levels()
-    for n in range(1, arity_cap + 1):
-        for f in all_partial_fns(2, n):
-            if dom_cap is not None and len(f.graph) > dom_cap:
-                continue
-            levels = levels_of(f)
-            if _in_family(levels, h + 1) and not _in_family(levels, h):
-                return False
-    return (
-        not is_trivial(sep)
-        and phi_preserves_all(h + 1, h)
-        and not delta_preserves(sep, 1, h + 1).preserved
-    )
+    for f in functions:
+        if dom_cap is not None and len(f.graph) > dom_cap:
+            continue
+        levels = levels_of(f)
+        if _in_family(levels, h + 1) and not _in_family(levels, h):
+            return False
+    return all(phi_facts(h + 1, h).values())
 
 
 def repeat_identifies(t: int, h: int) -> bool:
@@ -397,23 +414,19 @@ def limit_is_trivial_clone(arity_cap: int) -> bool:
     the arity bound and must also escape the sparse sub-family
     delta(n, 2n).
     """
-    if arity_cap < 1:
-        raise ValueError(f"need arity_cap >= 1, got {arity_cap}")
-    if arity_cap > 3:
-        raise CapacityError("limit sweep covers 3**(2**n) functions, arity_cap <= 3")
+    functions = _swept_functions(arity_cap)
     h_max = 2**arity_cap
     levels_of = _sweep_levels()
-    for n in range(1, arity_cap + 1):
-        for f in all_partial_fns(2, n):
-            levels = levels_of(f)
-            try:
-                w = witness_nontrivial(f)
-            except NoWitnessError:  # f is trivial
-                if not _in_family(levels, h_max):
-                    return False
-                continue
-            if w.h > h_max or not verify_witness(f, w):
+    for f in functions:
+        levels = levels_of(f)
+        try:
+            w = witness_nontrivial(f)
+        except NoWitnessError:  # f is trivial
+            if not _in_family(levels, h_max):
                 return False
-            if not any(_breaks(levels, m, 2 * m) for m in range(1, h_max // 2 + 1)):
-                return False
+            continue
+        if w.h > h_max or not verify_witness(f, w):
+            return False
+        if not any(_breaks(levels, m, 2 * m) for m in range(1, h_max // 2 + 1)):
+            return False
     return True

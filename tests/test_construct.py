@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from rigidrel import construct
 from rigidrel.construct import (
     AbstractTrace,
     BoundError,
@@ -322,6 +323,22 @@ def test_construct_ellrigid_parameter_errors():
         construct_ellrigid(4, 3, 3)  # needs ell < h
     with pytest.raises(ValueError):
         construct_ellrigid(2, 3, 4)  # ell > k
+
+
+def test_constructors_refuse_a_decision_too_large_before_building_tables(monkeypatch):
+    # (2, 2, 24) has 2**24 patterns and (3, 3, 13) has 3**13, past
+    # MAX_PATTERNS; once they took seconds and gigabytes to be refused
+    def unbuilt(*args):
+        raise AssertionError("tables built before the size check")
+
+    monkeypatch.setattr(construct, "_relabellings", unbuilt)
+    monkeypatch.setattr(construct, "_surjective_patterns", unbuilt)
+    with pytest.raises(CapacityError):
+        construct_2rigid(2, 24)
+    with pytest.raises(CapacityError):
+        construct_ellrigid(3, 3, 13)
+    with pytest.raises(CapacityError):
+        AbstractTrace.from_dict(2, 24, 2, {(0, 1): ()})
 
 
 # SHA-256 of Relation.mask for constructions as first published by this

@@ -154,6 +154,12 @@ def test_relation_membership():
     assert rho.contains_rank(tuple_rank((0, 1), 3))
     with pytest.raises(EncodingError):
         rho.contains_rank(9)
+    # each of these ranks to 0, the rank of the one member (0, 0)
+    zero = Relation.from_tuples(3, 2, [(0, 0)])
+    assert (0, 0) in zero
+    for entries in ((0,), (), (0, 0, 0)):
+        with pytest.raises(EncodingError, match="arity"):
+            entries in zero
 
 
 def test_iter_ranks_walks_set_bits_lazily():

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from rigidrel.kernel import (
     CapacityError,
     PartialUnaryFn,
     Relation,
+    _surjective_patterns,
     all_partial_unary,
     beta,
     beta_lt,
@@ -25,6 +27,7 @@ from rigidrel.rigidity import (
     MAX_TUPLES,
     EmptyRelationError,
     _pattern_weights,
+    _relabellings,
     _trace_masks,
     RigidityReport,
     brute_force_rigidity,
@@ -210,24 +213,24 @@ def test_brute_force_capacity_guard():
 
 def test_decision_refuses_past_the_pattern_and_tuple_limits(monkeypatch):
     # each size is the smallest refused, with the largest admitted below it
-    assert 3**12 <= MAX_PATTERNS < 2**20 and 2048 * 2047 <= MAX_TUPLES < 2049 * 2048
+    assert 3**12 <= MAX_PATTERNS < 2**20 and 1448 * 1447 <= MAX_TUPLES < 1449 * 1448
     with monkeypatch.context() as mp:
         mp.setattr(rigidity, "_surjective_patterns", lambda n, m: ())
-        for k, h, m in ((2, 19, 2), (3, 12, 3), (2048, 2, 2), (2**22, 1, 1)):
+        for k, h, m in ((2, 19, 2), (3, 12, 3), (1448, 2, 2), (2**21, 1, 1)):
             assert _pattern_weights.__wrapped__(k, h, m) == ()
 
         def unbounded(n, m):
             raise AssertionError("patterns enumerated past the guard")
 
         mp.setattr(rigidity, "_surjective_patterns", unbounded)
-        for k, h, m in ((2, 20, 2), (3, 13, 3), (2049, 2, 2), (2**16, 1, 1000)):
+        for k, h, m in ((2, 20, 2), (3, 13, 3), (1449, 2, 2), (2**16, 1, 1000)):
             with pytest.raises(CapacityError):
                 _pattern_weights.__wrapped__(k, h, m)
     # end to end: omega containment holds, and the trace is refused
     for rho, ell in (
         (Relation.diagonal(2, 20), 2),
         (Relation.from_tuples(3, 13, beta_lt(3, 13, range(3))), 3),
-        (Relation.diagonal(2049, 2), 2),
+        (Relation.diagonal(1449, 2), 2),
     ):
         with pytest.raises(CapacityError):
             is_hereditarily_ell_rigid(rho, ell)
@@ -340,6 +343,22 @@ def test_trace_masks_probe_only_increasing_tuples(k, ell, h):
     assert _trace_masks(counted, ell) == _probed_masks(rho, ell)
     s = len(list(beta(ell, h, range(ell)))) if ell <= h else 0
     assert mask.reads == math.comb(k, ell) * s
+
+
+def test_relabellings_hold_about_one_pointer_per_entry():
+    # each of the ell! maps indexes every surjective pattern; with a fresh
+    # int per index the table at (5, 6) retained about 36 bytes an entry
+    ell, h = 5, 6
+    patterns = len(_surjective_patterns(h, ell))  # cached outside the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tables = _relabellings.__wrapped__(ell, h)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == math.factorial(ell)
+    assert retained / (len(tables) * patterns) <= 16
 
 
 def test_trace_of_leq():

@@ -1,6 +1,7 @@
 """Near-total Boolean relations, the escape functions, and the chain."""
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -353,13 +354,16 @@ def test_phi_preserves_all_rejects_h_not_below_n():
 # -- every relation of one arity: the closure depth against the sweep ---------
 
 
+@functools.lru_cache(maxsize=None)
+def _all_relations(k: int, h: int) -> tuple:
+    """The 2**(k**h) h-ary relations on {0..k-1}."""
+    nbytes = (k**h + 7) // 8
+    return tuple(Relation(k, h, m.to_bytes(nbytes, "little")) for m in range(2 ** (k**h)))
+
+
 def _sweep_preserves_all(f: PartialFn, h: int) -> bool:
-    """The oracle: f against each of the 2**(2**h) h-ary relations on {0, 1}."""
-    nbytes = (2**h + 7) // 8
-    return all(
-        preserves(f, Relation(2, h, m.to_bytes(nbytes, "little"))).preserved
-        for m in range(2 ** (2**h))
-    )
+    """The oracle: f against each h-ary relation on its base set."""
+    return all(preserves(f, rel).preserved for rel in _all_relations(f.k, h))
 
 
 def _sweep_cases():
@@ -372,6 +376,25 @@ def test_agreement_depth_matches_relation_sweep():
     for f in _sweep_cases():
         d = _agreement_depth(f)
         for h in (1, 2, 3):
+            assert (d is None or h < d) == _sweep_preserves_all(f, h), (f, h)
+
+
+def _random_binary_on_three(rng) -> PartialFn:
+    """A binary partial function on {0, 1, 2}, each input undefined with
+    probability 1/2, so that small domains, which preserve more, are common."""
+    picks = {args: rng.randrange(6) for args in itertools.product(range(3), repeat=2)}
+    return PartialFn.from_mapping(3, 2, {args: v for args, v in picks.items() if v < 3})
+
+
+def test_agreement_depth_matches_relation_sweep_at_k3():
+    # d(f) reads only the rows of dom(f), so the criterion holds on any
+    # base set: here every unary and 400 binary functions on {0, 1, 2},
+    # against all 8 unary and 512 binary relations
+    rng = random.Random(1981)
+    fns = list(all_partial_fns(3, 1)) + [_random_binary_on_three(rng) for _ in range(400)]
+    for f in fns:
+        d = _agreement_depth(f)
+        for h in (1, 2):
             assert (d is None or h < d) == _sweep_preserves_all(f, h), (f, h)
 
 
@@ -574,5 +597,7 @@ def test_limit_is_trivial_clone_arity_two():
 def test_limit_capacity_guard():
     with pytest.raises(CapacityError):
         limit_is_trivial_clone(4)
+    with pytest.raises(CapacityError):
+        limit_is_trivial_clone(10**12)  # refused before 2**arity_cap is formed
     with pytest.raises(ValueError):
         limit_is_trivial_clone(0)  # an empty sweep proves nothing
