@@ -122,9 +122,15 @@ def cmd_construct(args) -> int:
         return 1
     lhs, _, rhs = bound_sides(k, ell, h)
     payload = rho.to_json(args.format)
+    if args.format == "mask":
+        # the bytes of _dump(payload): hex digits need no escaping, so the
+        # hex is written as it is, not scanned by json nor joined to a copy
+        parts = (f'{{"k":{rho.k},"h":{rho.h},"mask_hex":"', payload["mask_hex"], '"}\n')
+    else:
+        parts = (_dump(payload), "\n")
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dump(payload) + "\n")
+            fh.writelines(parts)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2

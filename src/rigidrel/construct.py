@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import mul
 
 from .kernel import (
     CapacityError,
@@ -34,6 +33,7 @@ from .rigidity import (
     RigidityReport,
     _bit_map,
     _pattern_weights,
+    _probe_ranks,
     _relabellings,
     _small_kernels,
     is_hereditarily_ell_rigid,
@@ -204,12 +204,11 @@ def rho_from_trace(tr: AbstractTrace) -> Relation:
     patterns gives the same members, so these are all of them, each once."""
     tr.validate()
     k, h, ell = tr.k, tr.h, tr.ell
-    weights = [w for _, w in _pattern_weights(k, h, ell)]
     ranks = [r for _, low in _small_kernels(k, h, ell) for r in low]
-    for x, m in zip(itertools.combinations(range(k), ell), tr.masks):
+    for probe, m in zip(_probe_ranks(k, h, ell), tr.masks):
         while m:
             low = m & -m
-            ranks.append(sum(map(mul, x, weights[low.bit_length() - 1])))
+            ranks.append(probe[low.bit_length() - 1])
             m ^= low
     return Relation.from_ranks(k, h, ranks)
 

@@ -11,10 +11,11 @@ that moves a point may preserve it.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul, or_
 from typing import Optional
 
 from .kernel import (
@@ -24,7 +25,6 @@ from .kernel import (
     _surjective_patterns,
     all_partial_unary,
     mask_bits,
-    subsets_colex,
     tuple_unrank,
 )
 from .preserve import ppol1, unary_preserves
@@ -95,20 +95,24 @@ def verify_report(rho: Relation, ell: int, report: RigidityReport) -> bool:
 # Most candidate patterns (m**h) and injective m-tuples (k!/(k - m)!) a
 # decision enumerates at image size m.  With `check` on full relations
 # (peak RSS of a fresh process, CPython 3.11) the largest sizes admitted
-# each peak near 322 MiB: k = 2, h = 19 (about 640 bytes per two-symbol
-# pattern), k = 3, h = 12 (about 650 per three-symbol one) and k = 1448,
-# h = 2 (about 160 per injective pair).  So every admitted decision stays
-# below the 512 MiB that MAX_RANKS allows a mask: h = 20 and h = 13 would
-# need about 2 and 3 times as much, and a tuple limit of 2**22 admitted
-# k = 2048, which peaks at 646 MiB.  Refused sizes stay near 20 MiB.
+# peak at 258 MiB for k = 2, h = 19 (about 520 bytes per two-symbol
+# pattern), 242 MiB for k = 3, h = 12 (about 490 per three-symbol one) and
+# 41 MiB for k = 1448, h = 2 (about 20 per injective pair, as no mask is
+# keyed by its tuple).  So every admitted decision stays below the 512 MiB
+# that MAX_RANKS allows a mask: h = 20 and h = 13 would need about 2 and 3
+# times as much.  A tuple limit of 2**22 would admit k = 2048, which now
+# peaks at 66 MiB in 5.9 s of CPU time (646 MiB with the tuple-keyed dict),
+# so memory no longer sets the tuple limit.  Refused sizes stay near 17 MiB.
 MAX_PATTERNS = 10**6
 MAX_TUPLES = 1 << 21
 
 
 @lru_cache(maxsize=None)
 def _pattern_weights(k: int, h: int, m: int) -> tuple:
-    """Sorted surjective h-patterns onto range(m), each with its weights w:
-    the tuple y composed with the pattern has rank sum(y[j] * w[j]).
+    """The m weight columns of the sorted surjective h-patterns onto
+    range(m): the tuple y composed with the i-th pattern has rank
+    sum(y[j] * columns[j][i]), where columns[j][i] sums k**(h - 1 - t) over
+    the positions t at which that pattern holds j.
 
     Every decision passes here before it enumerates patterns or tuples,
     so this is where a size past MAX_PATTERNS or MAX_TUPLES is refused."""
@@ -123,13 +127,57 @@ def _pattern_weights(k: int, h: int, m: int) -> tuple:
             f"{k}!/({k}-{m})! tuples, but allows at most {MAX_PATTERNS} "
             f"patterns and {MAX_TUPLES} tuples"
         )
-    out = []
-    for p in _surjective_patterns(h, m):
-        w = [0] * m
-        for i, j in enumerate(p):
-            w[j] += k ** (h - 1 - i)
-        out.append((p, tuple(w)))
-    return tuple(out)
+    # over every pattern of the last positions, in lex order, the weight of
+    # each symbol and the set of symbols used; a new first position with
+    # value a puts a copy of the lists in front for each a, at C speed
+    columns, used = [[0] for _ in range(m)], [0]
+    for power in (k**t for t in range(h)):
+        columns = [
+            list(itertools.chain.from_iterable(
+                map(add, col, itertools.repeat(power)) if a == j else col for a in range(m)
+            ))
+            for j, col in enumerate(columns)
+        ]
+        used = list(itertools.chain.from_iterable(
+            map(or_, used, itertools.repeat(1 << a)) for a in range(m)
+        ))
+    surjective = list(map(((1 << m) - 1).__eq__, used))
+    return tuple(tuple(itertools.compress(col, surjective)) for col in columns)
+
+
+def _probe_ranks(k: int, h: int, ell: int):
+    """For each increasing ell-tuple x, in combinations order, the list of
+    the ranks of x composed with each sorted surjective pattern.  A rank
+    is linear in x: raising x[d] by one, with the entries after it still
+    following it, adds the weight columns d, ..., ell - 1.  So each list is
+    an earlier one plus columns, added at C speed, and within a run of the
+    last entry it is the previous one plus the last column."""
+    columns = _pattern_weights(k, h, ell)
+    last = columns[-1]
+
+    def climb(ranks, d):
+        for col in columns[d:]:
+            ranks = list(map(add, ranks, col))
+        return ranks
+
+    def run(d, lo, ranks):
+        # the tuples with the entries before d fixed and x[d] >= lo; ranks
+        # is that of x[d] = lo with the entries after it following
+        if d == ell - 1:
+            yield ranks
+            for _ in range(lo + 1, k):
+                ranks = list(map(add, ranks, last))
+                yield ranks
+            return
+        for v in range(lo, k - ell + d + 1):
+            if v > lo:
+                ranks = climb(ranks, d)
+            yield from run(d + 1, v + 1, ranks)
+
+    first = [0] * len(last)  # the ranks of (0, ..., 0), climbed to (0, 1, ..., ell - 1)
+    for d in range(1, ell):
+        first = climb(first, d)
+    return run(0, 0, first)
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +237,7 @@ def _small_kernels(k: int, h: int, ell: int) -> tuple:
     return tuple(
         (p, tuple(sum(map(mul, y, w)) for y in itertools.permutations(range(k), m)))
         for m in range(1, min(ell - 1, h) + 1)
-        for p, w in _pattern_weights(k, h, m)
+        for w, p in zip(zip(*_pattern_weights(k, h, m)), _surjective_patterns(h, m))
         if _kernel(p) == p
     )
 
@@ -252,40 +300,44 @@ def omega_contained(rho: Relation, ell: int) -> RigidityReport:
     return RigidityReport(True)
 
 
+def _trace_list(rho: Relation, ell: int) -> list:
+    """The trace of every injective ell-tuple as a bitmask, keyless: bit i
+    is set when the i-th sorted surjective pattern, composed with the
+    tuple, is a member of rho.  Only the n = C(k, ell) increasing tuples
+    are probed, in combinations order.  Traces of any relation are
+    equivariant, so the increasing x reordered by perm carries
+    move(trace(x)), for each relabelling (perm, move): entry j * n + i is
+    the i-th increasing tuple reordered by the j-th relabelling, the
+    identity first."""
+    probed = list(map(rho.bits, _probe_ranks(rho.k, rho.h, ell)))
+    moved = (map(move, probed) for _, move in _relabellings(ell, rho.h)[1:])
+    return list(itertools.chain(probed, *moved))
+
+
 def _trace_masks(rho: Relation, ell: int) -> dict:
-    """The trace of every injective ell-tuple as a bitmask: bit i is set
-    when the i-th sorted surjective pattern, composed with the tuple, is a
-    member of rho.  Only the increasing tuples are probed.  Traces of any
-    relation are equivariant, so the increasing x reordered by perm
-    carries move(trace(x)), for each relabelling (perm, move).  The keys
-    are not in lex order."""
-    weights = [w for _, w in _pattern_weights(rho.k, rho.h, ell)]
-    probed = [
-        (x, rho.bits([sum(map(mul, x, w)) for w in weights]))
-        for x in itertools.combinations(range(rho.k), ell)
-    ]
-    out = dict(probed)
-    # the identity comes first and keeps the probed masks
-    for perm, move in _relabellings(ell, rho.h)[1:]:
-        reorder = itemgetter(*perm)
-        out.update((reorder(x), move(m)) for x, m in probed)
-    return out
+    """The masks of _trace_list keyed by their tuples, which only trace()
+    needs.  The keys are not in lex order."""
+    increasing = list(itertools.combinations(range(rho.k), ell))
+    reorders = (map(itemgetter(*perm), increasing) for perm, _ in _relabellings(ell, rho.h)[1:])
+    return dict(zip(itertools.chain(increasing, *reorders), _trace_list(rho, ell)))
 
 
 def comparable_masks(masks) -> set:
     """The masks contained in, or equal to, the mask of another entry.
 
-    Masks of equal popcount are comparable only when equal, a hash test;
-    only a smaller mask needs a subset test against the larger ones.
+    A mask that occurs twice is comparable, and the others are tested
+    once per distinct value: masks of equal popcount are comparable only
+    when equal, so only a smaller mask needs a subset test against the
+    larger ones.
     """
+    counts = Counter(masks)
+    out = {m for m, n in counts.items() if n > 1}
     by_size: dict[int, list] = {}
-    for m in masks:
+    for m in counts:
         by_size.setdefault(m.bit_count(), []).append(m)
-    out = set()
     larger: list = []
     for size in sorted(by_size, reverse=True):
         group = by_size[size]
-        out.update(m for m, n in Counter(group).items() if n > 1)
         if larger:
             out.update(m for m in group if any(m & ~big == 0 for big in larger))
         larger += group
@@ -309,17 +361,43 @@ def is_hereditarily_ell_rigid(rho: Relation, ell: int) -> RigidityReport:
     contained = omega_contained(rho, ell)
     if not contained.verdict:
         return contained
-    masks = _trace_masks(rho, ell)
-    comparable = comparable_masks(masks.values())
+    masks = _trace_list(rho, ell)
+    comparable = comparable_masks(masks)
     if not comparable:
         return RigidityReport(True)
-    # traces are equivariant, so comparable ones include an increasing x
-    x = next(
-        x for x in map(mask_bits, subsets_colex(rho.k, ell)) if masks[x] in comparable
-    )
-    perms = itertools.permutations(range(rho.k), ell)  # in lex order
-    y = next(y for y in perms if masks[x] & ~masks[y] == 0 and y != x)
+    x, y = _first_preserving(rho.k, ell, masks, comparable)
     return RigidityReport(False, f_arrow(x, y, rho.k), "psi", None)
+
+
+def _first_preserving(k: int, ell: int, masks: list, comparable: set) -> tuple:
+    """The first preserving x -> y, from the masks of _trace_list: x is the
+    colex-first increasing tuple whose mask is comparable, which exists as
+    traces are equivariant, and y the lex-first other injective tuple whose
+    mask contains that of x.  Block j of the masks is scanned at C speed,
+    and only up to the last increasing tuple that can still come first."""
+    n = math.comb(k, ell)
+
+    def hits(j, keep, first=k):
+        """The increasing tuples with x[0] < first whose masks in block j
+        pass keep, in combinations order."""
+        block = masks[j * n : (j + 1) * n - math.comb(k - first, ell)]
+        return itertools.compress(itertools.combinations(range(k), ell), map(keep, block))
+
+    lead = next(hits(0, comparable.__contains__))
+    # x comes no later than lead in colex order, the lex order of the
+    # reversals, so x[-1] <= lead[-1] and x[0] <= lead[-1] - ell + 1
+    first = lead[-1] - ell + 2
+    x = min(hits(0, comparable.__contains__, first), key=itemgetter(slice(None, None, -1)))
+    mx = masks[n - 1 - sum(math.comb(k - 1 - v, ell - t) for t, v in enumerate(x))]
+    above = {m for m in set(masks) if mx & ~m == 0}.__contains__
+    y = next((y for y in hits(0, above) if y != x), None)  # the identity's block is in lex order
+    perms = itertools.permutations(range(ell))  # the order of _relabellings
+    for j, perm in enumerate(itertools.islice(perms, 1, None), 1):
+        # a reordered tuple starts with one of its entries, so only tuples
+        # starting at most y[0] can come before y
+        reordered = map(itemgetter(*perm), hits(j, above, k if y is None else y[0] + 1))
+        y = min(itertools.chain(() if y is None else (y,), reordered), default=None)
+    return x, y
 
 
 def brute_force_rigidity(rho: Relation, ell: int) -> bool:
@@ -366,11 +444,9 @@ class TraceMap:
 
 def trace(rho: Relation, ell: int) -> TraceMap:
     _require_usable(rho, ell)
-    patterns = [p for p, _ in _pattern_weights(rho.k, rho.h, ell)]
-    items = tuple(
-        (x, frozenset(patterns[i] for i in mask_bits(m)))
-        for x, m in sorted(_trace_masks(rho, ell).items())
-    )
+    masks = sorted(_trace_masks(rho, ell).items())  # refuses a size past the limits first
+    patterns = _surjective_patterns(rho.h, ell)
+    items = tuple((x, frozenset(patterns[i] for i in mask_bits(m))) for x, m in masks)
     return TraceMap(ell, rho.h, rho.k, items)
 
 
@@ -391,4 +467,4 @@ def trace_incomparability(rho: Relation, ell: int) -> bool:
     trace at a different tuple.
     """
     _require_usable(rho, ell)
-    return not comparable_masks(_trace_masks(rho, ell).values())
+    return not comparable_masks(_trace_list(rho, ell))

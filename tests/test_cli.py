@@ -11,6 +11,7 @@ import pytest
 
 from rigidrel import cli
 from rigidrel.cli import main
+from rigidrel.construct import construct_2rigid, construct_ellrigid
 from rigidrel.kernel import CapacityError, PartialFn, Relation
 from rigidrel.rigidity import is_hereditarily_ell_rigid
 from rigidrel.strongrigid import PHI_MAX_N, phi
@@ -142,6 +143,18 @@ def test_construct_tuples_format(tmp_path, capsys):
     capsys.readouterr()
     data = json.loads(out_file.read_text())
     assert data["tuples"] == [[0, 0], [0, 1], [1, 1]]
+
+
+@pytest.mark.parametrize("k,ell,h", [(5, 2, 3), (10, 3, 4), (3, 2, 3), (2, 2, 2)])
+def test_construct_mask_file_is_the_json_dump(k, ell, h, tmp_path, capsys):
+    # the mask form is written without json.dumps; its bytes must be the
+    # dump's, also when k**h (125, 27, 4 here) leaves a partial last byte
+    out_file = tmp_path / "rel.json"
+    argv = ["construct", "--k", str(k), "--ell", str(ell), "--h", str(h), "--out", str(out_file)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    rho = construct_2rigid(k, h) if ell == 2 else construct_ellrigid(k, ell, h)
+    assert out_file.read_bytes() == (cli._dump(rho.to_json("mask")) + "\n").encode()
 
 
 def test_construct_ell3(tmp_path, capsys):

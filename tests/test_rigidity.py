@@ -5,10 +5,16 @@ import itertools
 import math
 import random
 import tracemalloc
+from operator import mul
 
 import pytest
 
-from rigidrel.construct import construct_2rigid, construct_ellrigid
+from rigidrel.construct import (
+    bound_sides,
+    construct_2rigid,
+    construct_ellrigid,
+    surjection_count,
+)
 from rigidrel.kernel import (
     CapacityError,
     PartialUnaryFn,
@@ -27,6 +33,7 @@ from rigidrel.rigidity import (
     MAX_TUPLES,
     EmptyRelationError,
     _pattern_weights,
+    _probe_ranks,
     _relabellings,
     _trace_masks,
     RigidityReport,
@@ -214,15 +221,15 @@ def test_brute_force_capacity_guard():
 def test_decision_refuses_past_the_pattern_and_tuple_limits(monkeypatch):
     # each size is the smallest refused, with the largest admitted below it
     assert 3**12 <= MAX_PATTERNS < 2**20 and 1448 * 1447 <= MAX_TUPLES < 1449 * 1448
+    for k, h, m in ((2, 19, 2), (3, 12, 3), (1448, 2, 2), (2**21, 1, 1)):
+        columns = _pattern_weights.__wrapped__(k, h, m)
+        assert len(columns) == m and {len(c) for c in columns} == {surjection_count(h, m)}
     with monkeypatch.context() as mp:
-        mp.setattr(rigidity, "_surjective_patterns", lambda n, m: ())
-        for k, h, m in ((2, 19, 2), (3, 12, 3), (1448, 2, 2), (2**21, 1, 1)):
-            assert _pattern_weights.__wrapped__(k, h, m) == ()
 
-        def unbounded(n, m):
-            raise AssertionError("patterns enumerated past the guard")
+        def unbounded(*args):
+            raise AssertionError("weight columns built past the guard")
 
-        mp.setattr(rigidity, "_surjective_patterns", unbounded)
+        mp.setattr(rigidity, "add", unbounded)  # the weight columns are summed with it
         for k, h, m in ((2, 20, 2), (3, 13, 3), (1449, 2, 2), (2**16, 1, 1000)):
             with pytest.raises(CapacityError):
                 _pattern_weights.__wrapped__(k, h, m)
@@ -322,6 +329,22 @@ def test_trace_masks_match_direct_probes():
                     assert _trace_masks(rho, ell) == _probed_masks(rho, ell)
                     keys = trace(rho, ell).keys()
                     assert keys == list(itertools.permutations(range(k), ell))
+
+
+def test_probe_ranks_match_direct_ranks():
+    # covers ell = h, ell > h (no patterns, so every list is empty) and ell = k
+    for k in range(2, 7):
+        for h in range(1, 5):
+            for ell in range(1, min(k, 4) + 1):
+                weights = [
+                    [sum(k ** (h - 1 - i) for i, e in enumerate(p) if e == j) for j in range(ell)]
+                    for p in _surjective_patterns(h, ell)
+                ]
+                direct = [
+                    [sum(map(mul, x, w)) for w in weights]
+                    for x in itertools.combinations(range(k), ell)
+                ]
+                assert list(_probe_ranks(k, h, ell)) == direct
 
 
 class _CountingMask(bytes):
@@ -522,6 +545,53 @@ def test_canonical_witness_sampled_ell1():
     psi = enumerate_psi(4, 1)
     for _ in range(300):
         _assert_canonical_witness(_random_relation(rng, 4, 2), 1, psi)
+
+
+def _reference_psi_witness(rho: Relation, ell: int):
+    """From every injective tuple probed directly: the colex-first
+    increasing x whose mask another tuple's mask contains, and the
+    lex-first such y; None when the masks are strictly incomparable."""
+    masks = _probed_masks(rho, ell)
+    for x in map(mask_bits, subsets_colex(rho.k, ell)):
+        for y in itertools.permutations(range(rho.k), ell):
+            if y != x and masks[x] & ~masks[y] == 0:
+                return x, y
+    return None
+
+
+def test_canonical_witness_matches_probed_reference():
+    # omega containment holds in every sample, so the psi side decides.  Of
+    # each four samples, one is one or two tuples away from a construction,
+    # so rigid relations and late witnesses are met, and one is at k = 4 or
+    # 5 with h = ell = 3, where the lex-first y most often comes from a
+    # reordered block and starts like an increasing candidate
+    rng = random.Random(4400)
+    sizes = [(k, h) for k in range(2, 8) for h in range(1, 9) if k**h <= 5000]
+    seen = {"rigid": 0, "psi": 0}
+    for i in range(600):
+        k, h = rng.choice(sizes) if i % 4 != 1 else (rng.choice((4, 5)), 3)
+        ell = rng.randrange(1, min(k, 5) + 1) if i % 4 != 1 else 3
+        density = rng.random()
+        members = {t for t in itertools.product(range(k), repeat=h) if rng.random() < density}
+        buildable = 2 <= ell < h and bound_sides(k, ell, h)[0] <= bound_sides(k, ell, h)[2]
+        if i % 4 == 0 and buildable:
+            rho = construct_2rigid(k, h) if ell == 2 else construct_ellrigid(k, ell, h)
+            toggled = set(rho.ranks) ^ set(rng.sample(range(k**h), i % 3 + 1))
+            members = set(Relation.from_ranks(k, h, toggled).members)
+        rho = Relation.from_tuples(k, h, members | beta_lt(ell, h, range(k)))
+        if rho.is_empty:  # possible at ell = 1, where no tuple is added
+            continue
+        report = is_hereditarily_ell_rigid(rho, ell)
+        expected = _reference_psi_witness(rho, ell)
+        if expected is None:
+            assert report.verdict
+            seen["rigid"] += 1
+        else:
+            assert report.failing_side == "psi"
+            assert report.failing_function == f_arrow(*expected, k)
+            seen["psi"] += 1
+        assert trace_incomparability(rho, ell) == report.verdict
+    assert min(seen.values()) >= 100
 
 
 @pytest.mark.parametrize("k,ell,h", [(5, 2, 3), (4, 3, 4)])
