@@ -121,16 +121,16 @@ def cmd_construct(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     lhs, _, rhs = bound_sides(k, ell, h)
-    payload = rho.to_json(args.format)
     if args.format == "mask":
-        # the bytes of _dump(payload): hex digits need no escaping, so the
-        # hex is written as it is, not scanned by json nor joined to a copy
-        parts = (f'{{"k":{rho.k},"h":{rho.h},"mask_hex":"', payload["mask_hex"], '"}\n')
+        chunks = rho.mask_json_chunks()
     else:
-        parts = (_dump(payload), "\n")
+        chunks = (_dump(rho.to_json("tuples")).encode(),)
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
+        # binary mode writes the bytes as they are, and the last newline
+        # is b"\n" on every platform
+        with open(args.out, "wb") as fh:
+            fh.writelines(chunks)
+            fh.write(b"\n")
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2

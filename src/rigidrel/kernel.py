@@ -6,11 +6,13 @@ little-endian by bit position (bit r lives in byte r // 8 at bit r % 8),
 so membership tests are O(1) byte lookups even for masks of millions of
 bits.  Only this module reads mask bytes: other modules probe a relation
 through ``contains_rank``, ``bits``, ``first_missing`` and the lazy member
-walk ``iter_ranks``.  Partial functions are kept as explicit graphs.
+walk ``iter_ranks``, and write it through ``to_json`` or
+``mask_json_chunks``.  Partial functions are kept as explicit graphs.
 """
 
 from __future__ import annotations
 
+import binascii
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -247,7 +249,10 @@ class Relation:
 
     @cached_property
     def size(self) -> int:
-        return int.from_bytes(self.mask, "little").bit_count()
+        """Number of members.  Zero bytes hold no members, so they are
+        dropped at C speed first, and only the nonzero bytes (few in a
+        sparse mask) become an int to popcount."""
+        return int.from_bytes(self.mask.translate(None, b"\0"), "little").bit_count()
 
     @property
     def is_empty(self) -> bool:
@@ -290,6 +295,19 @@ class Relation:
         if form == "mask":
             return {"k": self.k, "h": self.h, "mask_hex": self.mask.hex()}
         raise ValueError(f"unknown serialization form {form!r}")
+
+    def mask_json_chunks(self) -> tuple:
+        """The mask form's compact JSON as byte chunks which, written in
+        order, give exactly
+        ``json.dumps(self.to_json("mask"), separators=(",", ":")).encode()``.
+        Hex digits need no escaping, so the middle chunk is the mask
+        hexlified straight to bytes; it is never a str, nor copied into a
+        joined whole (at k = 59, h = 4 that copy alone is 3 MB)."""
+        return (
+            b'{"k":%d,"h":%d,"mask_hex":"' % (self.k, self.h),
+            binascii.hexlify(self.mask),
+            b'"}',
+        )
 
     @classmethod
     def from_json(cls, data: dict) -> "Relation":

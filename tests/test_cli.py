@@ -157,6 +157,33 @@ def test_construct_mask_file_is_the_json_dump(k, ell, h, tmp_path, capsys):
     assert out_file.read_bytes() == (cli._dump(rho.to_json("mask")) + "\n").encode()
 
 
+@pytest.mark.parametrize("k,ell,h", [(5, 2, 3), (10, 3, 4), (3, 2, 3), (2, 2, 2)])
+def test_construct_tuples_file_is_the_json_dump(k, ell, h, tmp_path, capsys):
+    # both forms go through the one binary writer
+    out_file = tmp_path / "rel.json"
+    argv = ["construct", "--k", str(k), "--ell", str(ell), "--h", str(h),
+            "--out", str(out_file), "--format", "tuples"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    rho = construct_2rigid(k, h) if ell == 2 else construct_ellrigid(k, ell, h)
+    assert out_file.read_bytes() == (cli._dump(rho.to_json("tuples")) + "\n").encode()
+
+
+def test_construct_unwritable_out_exit_two(tmp_path, capsys):
+    # the relation is built and verified, but a destination that cannot be
+    # opened ends the command with one error line and no summary
+    for out in (tmp_path / "missing" / "rel.json", tmp_path):
+        for form in ("mask", "tuples"):
+            argv = ["construct", "--k", "5", "--ell", "2", "--h", "3",
+                    "--out", str(out), "--format", form]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: cannot write {out}: ")
+            assert captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_construct_ell3(tmp_path, capsys):
     out_file = tmp_path / "rel.json"
     code = main(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 import types
@@ -136,6 +137,33 @@ def test_relation_factories_and_sizes():
         assert diag.members == tuple((a,) * h for a in range(k))
 
 
+def test_size_is_the_popcount_of_the_mask():
+    # size pops only the nonzero bytes: check it against a direct popcount
+    # and the member walk on seeded masks with long interior zero runs,
+    # runs of 0xFF and (at 3**3, 5**3, 3**7) a partial last byte
+    rng = random.Random(22)
+    rels = []
+    for k, h in ((2, 3), (3, 3), (5, 3), (3, 7), (2, 14)):
+        total = k**h
+        buf = bytearray((total + 7) // 8)
+        for _ in range(rng.randrange(1, 4)):
+            lo = rng.randrange(len(buf))
+            hi = min(len(buf), lo + rng.randrange(1, 40))
+            buf[lo:hi] = b"\xff" * (hi - lo)
+        for r in rng.sample(range(total), rng.randrange(1, 9)):
+            buf[r >> 3] |= 1 << (r & 7)
+        buf[-1] &= 0xFF >> (8 * len(buf) - total)  # no bits past the last rank
+        rels += [
+            Relation(k, h, bytes(buf)),
+            Relation.empty(k, h),
+            Relation.full(k, h),
+            Relation.diagonal(k, h),
+        ]
+    assert any(b"\0" * 200 in rho.mask.strip(b"\0") for rho in rels)
+    for rho in rels:
+        assert rho.size == sum(bin(b).count("1") for b in rho.mask) == len(rho.ranks)
+
+
 def test_relation_from_tuples_equals_from_ranks():
     tuples = [(0, 1), (2, 2), (1, 0)]
     a = Relation.from_tuples(3, 2, tuples)
@@ -230,6 +258,11 @@ def test_relation_json_round_trip_both_forms():
     assert Relation.from_json(as_mask) == rho
     with pytest.raises(ValueError):
         rho.to_json(form="bogus")
+    # the byte chunks of the mask form are its compact dump, also with a
+    # partial last byte and with no member
+    for rel in (rho, Relation.full(5, 3), Relation.empty(2, 2)):
+        dump = json.dumps(rel.to_json("mask"), separators=(",", ":"))
+        assert b"".join(rel.mask_json_chunks()) == dump.encode()
 
 
 def test_relation_from_json_rejects_garbage():
