@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import binascii
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import floordiv, mod
 
 
 class EncodingError(ValueError):
@@ -34,6 +36,8 @@ class CapacityError(RuntimeError):
 _BYTE_BITS = tuple(
     tuple(b for b in range(8) if v >> b & 1) for v in range(256)
 )
+# the runs of nonzero bytes in a mask, which hold every member
+_NONZERO_RUN = re.compile(rb"[^\x00]+")
 
 
 # Most ranks a dense relation mask may cover: 2**32 bits make a 512 MiB mask.
@@ -66,6 +70,15 @@ def rank_count(k: int, h: int) -> int:
             f"{MAX_RANKS} bits"
         )
     return k**h
+
+
+@lru_cache(maxsize=256, typed=True)
+def _mask_shape(k: int, h: int) -> tuple:
+    """The byte count of a mask over the k**h ranks, and the number of
+    spare high bits in its last byte; refused as rank_count refuses."""
+    total = rank_count(k, h)
+    nbytes = (total + 7) // 8
+    return nbytes, nbytes * 8 - total
 
 
 def tuple_rank(entries, k: int) -> int:
@@ -164,13 +177,11 @@ class Relation:
     mask: bytes
 
     def __post_init__(self):
-        total = rank_count(self.k, self.h)
-        nbytes = (total + 7) // 8
+        nbytes, spare = _mask_shape(self.k, self.h)
         if len(self.mask) != nbytes:
             raise EncodingError(
                 f"mask has {len(self.mask)} bytes, expected {nbytes}"
             )
-        spare = nbytes * 8 - total
         if spare and self.mask[-1] >> (8 - spare):
             raise EncodingError("mask has bits set beyond the last valid rank")
 
@@ -236,16 +247,23 @@ class Relation:
         return -1
 
     def iter_ranks(self):
-        """Member ranks, ascending, lazily: leading zero bytes are skipped
-        at C speed, and a caller that stops early scans no further."""
+        """Member ranks, ascending, lazily: zero bytes are skipped at C
+        speed, and a caller that stops early scans no further.  The first
+        member's byte is found by lstrip alone, so a caller that wants
+        only the first member starts no regex scan."""
         mask = self.mask
         rest = mask.lstrip(b"\0")
-        base = 8 * (len(mask) - len(rest))
-        for byte in rest:
-            if byte:
+        if not rest:
+            return
+        start = len(mask) - len(rest)
+        for b in _BYTE_BITS[rest[0]]:
+            yield 8 * start + b
+        for run in _NONZERO_RUN.finditer(mask, start + 1):
+            base = 8 * run.start()
+            for byte in run[0]:
                 for b in _BYTE_BITS[byte]:
                     yield base + b
-            base += 8
+                base += 8
 
     @cached_property
     def size(self) -> int:
@@ -265,9 +283,12 @@ class Relation:
 
     @cached_property
     def members(self):
-        """Member tuples in rank order."""
-        k, h = self.k, self.h
-        return tuple(tuple_unrank(r, h, k) for r in self.ranks)
+        """Member tuples in rank order, unranked one position at a time."""
+        k, h, ranks = self.k, self.h, self.ranks
+        return tuple(zip(*(
+            map(mod, map(floordiv, ranks, itertools.repeat(k ** (h - 1 - i))), itertools.repeat(k))
+            for i in range(h)
+        )))
 
     @cached_property
     def support_index(self):
@@ -290,7 +311,7 @@ class Relation:
             return {
                 "k": self.k,
                 "h": self.h,
-                "tuples": [list(t) for t in self.members],
+                "tuples": list(map(list, self.members)),
             }
         if form == "mask":
             return {"k": self.k, "h": self.h, "mask_hex": self.mask.hex()}

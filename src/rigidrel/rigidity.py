@@ -69,6 +69,10 @@ class RigidityReport:
             raise ValueError("negative report needs a failing side")
 
 
+# reports are frozen, so every positive decision returns this one
+_POSITIVE = RigidityReport(True)
+
+
 def verify_report(rho: Relation, ell: int, report: RigidityReport) -> bool:
     """Replay a negative report against the definitions."""
     if report.verdict:
@@ -269,24 +273,35 @@ def omega_contained(rho: Relation, ell: int) -> RigidityReport:
     fewer than ell distinct values, g(u) must stay in the relation.  The
     images g(u) are exactly the tuples whose kernel coarsens u's kernel
     into fewer than ell blocks, so u fails iff some such kernel has a tuple
-    missing from rho; at ell = 2 that means a missing diagonal tuple.
-    That is decided once per kernel, and the first failing member in rank
-    order gets the first failing g, with values in lex order.  The verdict
-    field means "containment holds".
+    missing from rho.  The first failing member in rank order gets the
+    first failing g, with values in lex order.  The verdict field means
+    "containment holds".
+
+    At ell = 1 no function but the empty one is small, and nothing is
+    probed.  At every ell >= 2 the k diagonal tuples are probed first.
+    The constant kernel coarsens every kernel, so if some (c, ..., c) is
+    missing, the first member u fails, and its first failing g is the
+    constant c: when u is (0, ..., 0), g is first among the constants that
+    break it; otherwise (0, ..., 0) ranks below u and is missing, so c = 0,
+    and g onto 0 comes first of all.  Only a complete diagonal at ell >= 3
+    leads on to the other small kernels, decided once each, and to the
+    walk of the members whose kernel some missing one coarsens.
     """
     _require_usable(rho, ell)
+    if ell == 1:
+        return _POSITIVE
     k, h = rho.k, rho.h
-    if ell == 2:  # the one small kernel is the constant one: test the diagonal
-        step = (k**h - 1) // (k - 1)  # the rank of (1, ..., 1)
-        c = rho.first_missing(range(0, k * step, step))
-        if c >= 0:  # the first member fails, mapped onto the missing (c, ..., c)
-            return _omega_failure(k, h, next(rho.iter_ranks()), (c,) * h)
-        return RigidityReport(True)
+    step = (k**h - 1) // (k - 1)  # the rank of (1, ..., 1)
+    c = rho.first_missing(range(0, k * step, step))
+    if c >= 0:
+        return _omega_failure(k, h, next(rho.iter_ranks()), (c,) * h)
+    if ell == 2:  # the constant kernel is the one small kernel
+        return _POSITIVE
     missing = [
         kernel for kernel, ranks in _small_kernels(k, h, ell) if rho.first_missing(ranks) >= 0
     ]
     if not missing:
-        return RigidityReport(True)
+        return _POSITIVE
     fails: dict = {}
     for r in rho.iter_ranks():
         kappa, w = _member_shape(k, h, r)
@@ -297,7 +312,7 @@ def omega_contained(rho: Relation, ell: int) -> RigidityReport:
                 if len(set(vals)) < ell:
                     if not rho.contains_rank(sum(map(mul, vals, w))):
                         return _omega_failure(k, h, r, vals)
-    return RigidityReport(True)
+    return _POSITIVE
 
 
 def _trace_list(rho: Relation, ell: int) -> list:
@@ -310,8 +325,10 @@ def _trace_list(rho: Relation, ell: int) -> list:
     the i-th increasing tuple reordered by the j-th relabelling, the
     identity first."""
     probed = list(map(rho.bits, _probe_ranks(rho.k, rho.h, ell)))
-    moved = (map(move, probed) for _, move in _relabellings(ell, rho.h)[1:])
-    return list(itertools.chain(probed, *moved))
+    masks = probed.copy()
+    for _, move in itertools.islice(_relabellings(ell, rho.h), 1, None):
+        masks += map(move, probed)
+    return masks
 
 
 def _trace_masks(rho: Relation, ell: int) -> dict:
@@ -323,17 +340,21 @@ def _trace_masks(rho: Relation, ell: int) -> dict:
 
 
 def comparable_masks(masks) -> set:
-    """The masks contained in, or equal to, the mask of another entry.
+    """The masks contained in, or equal to, the mask of another entry of
+    the sequence masks.
 
-    A mask that occurs twice is comparable, and the others are tested
+    A mask that occurs twice is comparable, and the occurrences are
+    counted only when some mask repeats.  The others are tested
     once per distinct value: masks of equal popcount are comparable only
     when equal, so only a smaller mask needs a subset test against the
     larger ones.
     """
-    counts = Counter(masks)
-    out = {m for m, n in counts.items() if n > 1}
+    distinct = set(masks)
+    out = set()
+    if len(distinct) < len(masks):
+        out = {m for m, n in Counter(masks).items() if n > 1}
     by_size: dict[int, list] = {}
-    for m in counts:
+    for m in distinct:
         by_size.setdefault(m.bit_count(), []).append(m)
     larger: list = []
     for size in sorted(by_size, reverse=True):
@@ -364,7 +385,7 @@ def is_hereditarily_ell_rigid(rho: Relation, ell: int) -> RigidityReport:
     masks = _trace_list(rho, ell)
     comparable = comparable_masks(masks)
     if not comparable:
-        return RigidityReport(True)
+        return _POSITIVE
     x, y = _first_preserving(rho.k, ell, masks, comparable)
     return RigidityReport(False, f_arrow(x, y, rho.k), "psi", None)
 

@@ -10,6 +10,7 @@ import types
 import pytest
 
 from rigidrel.kernel import (
+    CapacityError,
     EncodingError,
     PartialFn,
     PartialUnaryFn,
@@ -117,14 +118,29 @@ def test_mask_bits():
 
 
 def test_relation_constructor_validation():
-    with pytest.raises(ValueError):
-        Relation(1, 2, b"\x00")  # k < 2
-    with pytest.raises(ValueError):
-        Relation(2, 0, b"\x00")  # h < 1
-    with pytest.raises(EncodingError):
-        Relation(2, 2, b"\x00\x00")  # 4 tuples need exactly 1 byte, not 2
-    with pytest.raises(EncodingError):
-        Relation(2, 2, b"\xf0")  # stray bits above rank 3
+    # each check gives the same error, in the same order, whether or not a
+    # relation of that shape was built before
+    for _ in range(2):
+        Relation(2, 2, b"\x0f")
+        with pytest.raises(EncodingError, match="mask has 2 bytes, expected 1"):
+            Relation(2, 2, b"\x00\x00")  # 4 tuples need exactly 1 byte, not 2
+        with pytest.raises(EncodingError, match="beyond the last valid rank"):
+            Relation(2, 2, b"\xf0")  # stray bits above rank 3
+        with pytest.raises(EncodingError, match="beyond the last valid rank"):
+            Relation(3, 2, b"\x00\x02")  # rank 9, past the last rank 8
+        with pytest.raises(EncodingError, match="beyond the last valid rank"):
+            Relation(7, 1, b"\x80")  # the one spare bit
+        Relation(3, 2, b"\x00\x01")
+        with pytest.raises(EncodingError, match="expected 536870912"):
+            Relation(2, 32, b"")  # MAX_RANKS bits are allowed
+        for k, h in ((2, 33), (65537, 2), (2, 10**6)):
+            with pytest.raises(CapacityError):
+                Relation(k, h, b"")  # refused before the byte count
+        for k in (1, 0, -3):
+            with pytest.raises(ValueError, match="at least 2 elements"):
+                Relation(k, 2, b"\x00\x00")  # refused before the byte count
+        with pytest.raises(ValueError, match="arity must be >= 1"):
+            Relation(2, 0, b"")
 
 
 def test_relation_factories_and_sizes():
@@ -201,6 +217,35 @@ def test_iter_ranks_walks_set_bits_lazily():
     assert next(Relation.from_ranks(2, 5, (18, 20)).iter_ranks()) == 18
     rho = Relation.from_ranks(3, 3, (0, 7, 8, 9, 26))
     assert rho.ranks == tuple(rho.iter_ranks()) == (0, 7, 8, 9, 26)
+
+
+def _byte_walk(mask: bytes) -> list:
+    return [8 * i + b for i, byte in enumerate(mask) for b in range(8) if byte >> b & 1]
+
+
+def test_iter_ranks_and_members_match_a_byte_walk():
+    # random masks with zero runs, 0xFF runs and a partial last byte
+    rng = random.Random(23)
+    cases = [(2, 1, b"\x00"), (2, 1, b"\x03"), (3, 1, b"\x07"), (2, 3, b"\x00"), (2, 3, b"\xff")]
+    for k, h in ((2, 3), (3, 2), (3, 3), (2, 7), (5, 3), (3, 5), (7, 3)):
+        total = k**h
+        nbytes = (total + 7) // 8
+        for _ in range(12):
+            buf = bytearray()  # runs of zero, 0xFF and random bytes
+            while len(buf) < nbytes:
+                run = rng.choice((b"\0", b"\xff", bytes([rng.randrange(256)])))
+                buf += run * rng.randrange(1, 6)
+            del buf[nbytes:]
+            buf[-1] &= 0xFF >> (8 * nbytes - total)
+            cases.append((k, h, bytes(buf)))
+    for k, h, mask in cases:
+        rho = Relation(k, h, mask)
+        ranks = _byte_walk(mask)
+        assert list(rho.iter_ranks()) == ranks
+        assert rho.members == tuple(tuple_unrank(r, h, k) for r in ranks)
+        assert rho.to_json("tuples")["tuples"] == [list(tuple_unrank(r, h, k)) for r in ranks]
+    assert any(b"\xff\xff" in mask for _, _, mask in cases)
+    assert any(b"\0\0\0" in mask.strip(b"\0") for _, _, mask in cases)
 
 
 def test_batched_probes_agree_with_contains_rank():

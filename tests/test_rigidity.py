@@ -448,14 +448,35 @@ def test_incomparability_criterion_equals_rigidity_given_omega():
         assert trace_incomparability(rho, 2) == is_hereditarily_ell_rigid(rho, 2).verdict
 
 
+def test_comparable_masks_match_a_pairwise_reference():
+    rng = random.Random(41)
+    for n in (0, 1, 2, 3, 6, 12, 40):
+        for width in (1, 3, 6, 14):
+            for repeats in (False, True):
+                masks = [rng.randrange(1 << width) for _ in range(n)]
+                if repeats and masks:
+                    masks += rng.choices(masks, k=rng.randrange(1, 4))
+                    rng.shuffle(masks)
+                expected = {
+                    a for i, a in enumerate(masks)
+                    if any(a & ~b == 0 for j, b in enumerate(masks) if j != i)
+                }
+                assert rigidity.comparable_masks(masks) == expected
+    assert rigidity.comparable_masks([5, 9, 5]) == {5}
+    assert rigidity.comparable_masks([5, 9, 6]) == set()
+
+
 # -- canonical witnesses ------------------------------------------------------
 
 
 def _first_omega_failure(rho: Relation, ell: int):
     """First member in rank order that some collapse g breaks, with the
     first such g: values on the sorted support in lex order, fewer than
-    ell of them."""
-    for u in rho.members:
+    ell of them.  The members are found by probing every tuple in lex
+    order, which is rank order, not by the mask walk."""
+    for u in itertools.product(range(rho.k), repeat=rho.h):
+        if u not in rho:
+            continue
         support = sorted(set(u))
         for vals in itertools.product(range(rho.k), repeat=len(support)):
             g = dict(zip(support, vals))
@@ -465,6 +486,8 @@ def _first_omega_failure(rho: Relation, ell: int):
 
 
 def _assert_omega_canonical(rho: Relation, ell: int):
+    # at ell = 1 no function but the empty one has fewer than ell values
+    assert omega_contained(rho, 1) == RigidityReport(True)
     report = omega_contained(rho, ell)
     expected = _first_omega_failure(rho, ell)
     if expected is None:
@@ -472,17 +495,21 @@ def _assert_omega_canonical(rho: Relation, ell: int):
         return
     f, u = expected
     assert not report.verdict
-    got = (report.failing_side, report.failing_function.table, report.witness)
-    assert got == ("omega", f.table, u)
+    got = (report.failing_side, report.failing_function, report.witness)
+    assert got == ("omega", f, u)
 
 
-@pytest.mark.parametrize("k,h,ell", [(3, 2, 2), (2, 3, 2), (3, 2, 3)])
+@pytest.mark.parametrize(
+    "k,h,ell", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (3, 2, 3), (4, 2, 3)]
+)
 def test_omega_failure_canonical_exhaustive(k, h, ell):
     for bits in range(1, 2 ** (k**h)):
         _assert_omega_canonical(Relation(k, h, bits.to_bytes((k**h + 7) // 8, "little")), ell)
 
 
-@pytest.mark.parametrize("k,h,ell", [(3, 3, 3), (4, 2, 3), (4, 2, 4)])
+@pytest.mark.parametrize(
+    "k,h,ell", [(3, 3, 3), (4, 2, 3), (4, 2, 4), (4, 3, 3), (5, 2, 4), (4, 3, 4)]
+)
 def test_omega_failure_canonical_sampled(k, h, ell):
     # a third of the sample holds every low-diversity tuple, so omega
     # containment holds; another third misses one of them, so only members
