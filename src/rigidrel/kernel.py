@@ -228,7 +228,8 @@ class Relation:
     def __contains__(self, entries) -> bool:
         if len(entries) != self.h:  # else a tuple of another arity could share a rank
             raise EncodingError(f"tuple {entries!r} has arity {len(entries)}, expected {self.h}")
-        return self.contains_rank(tuple_rank(entries, self.k))
+        r = tuple_rank(entries, self.k)  # every entry checked, so r < k**h
+        return bool(self.mask[r >> 3] >> (r & 7) & 1)
 
     def bits(self, ranks) -> int:
         """The int whose bit i is set iff ranks[i] is a member; no range check."""

@@ -51,14 +51,23 @@ def check_certificate(cert: ViolationCertificate, f, rho: Relation) -> bool:
     """
     if isinstance(f, PartialUnaryFn):
         f = f.as_partial_fn()
-    n, h = f.n, rho.h
+    return replay_certificate(cert, f.n, f.mapping, rho)
+
+
+def replay_certificate(
+    cert: ViolationCertificate, n: int, mapping: dict, rho: Relation
+) -> bool:
+    """check_certificate for an n-ary f given as the dict of its graph, for
+    a caller that has built it already.  Every column's length is checked
+    before any column is probed in rho, so a malformed certificate is
+    rejected rather than raising."""
+    h = rho.h
     if len(cert.columns) != n or len(cert.image) != h:
         return False
     if any(len(c) != h for c in cert.columns):
         return False
-    if any(c not in rho for c in cert.columns):
+    if not all(map(rho.__contains__, cert.columns)):
         return False
-    mapping = f.mapping
     for row, y in zip(zip(*cert.columns), cert.image):
         if row not in mapping or mapping[row] != y:
             return False

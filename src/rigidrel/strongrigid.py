@@ -13,11 +13,14 @@ j survives the AND of their masks, so the matrix breaks delta(t, h) iff an
 AND of t one-row masks and an AND of h - t zero-row masks share no bit.
 The ANDs of i masks (repeats allowed) grow with i and reach the
 AND-closure, a fixpoint, within |dom(f)| steps.  Each closure depends
-only on its mask set, so a sweep builds one per mask set, not per
-function, and reduces the zero side to best[a], the least depth of a key
-sharing no bit with a.  The pairs (i, best[a]) over the one-side keys a
-answer every (t, h): f preserves every delta(t, h) at arity h iff h is
-below the least i + j over them.  One closure over all the masks likewise
+only on its row set, so a sweep tabulates, once per arity n and for every
+set S of the 2**n rows, depth[S][a], the depth of the key a on the one
+side, and best[S][a], the least depth of a zero-side key sharing no bit
+with a.  A function then reads two integers off its ones set A and zeros
+set B, minimised over the keys a: d1 = depth[A][a] + best[B][a], and f
+preserves every delta(t, h) at arity h iff h < d1; and
+d2 = max(depth[A][a], best[B][a]), and f breaks delta(m, 2m) iff
+m >= d2.  One closure over all the masks likewise
 decides whether f preserves every relation of arity h (_agreement_depth,
 the Pol-Inv criterion h < d(f)); it reads only the masks of dom(f), so it
 holds on any base set {0..k-1}.  A single (t, h) is decided by
@@ -33,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import add
 
 from .kernel import (
     CapacityError,
@@ -42,11 +46,12 @@ from .kernel import (
     all_partial_fns,
     is_trivial,
     tuple_rank,
+    tuple_unrank,
 )
 from .preserve import (
     PreservationVerdict,
     ViolationCertificate,
-    check_certificate,
+    replay_certificate,
 )
 
 
@@ -138,17 +143,6 @@ def _agreement_mask(args: tuple, v: int) -> int:
     return bm
 
 
-def _row_masks(f: PartialFn) -> tuple:
-    """The agreement masks of dom(f) on {0, 1}, split for the delta sweeps
-    into the rows mapping to one and those mapping to zero, each a tuple
-    in graph order."""
-    ones = []
-    zeros = []
-    for args, val in f.graph:
-        (ones if val == 1 else zeros).append(_agreement_mask(args, val))
-    return tuple(ones), tuple(zeros)
-
-
 def _closure_depths(rows) -> dict:
     """Map each AND of the masks (repeats allowed) to the fewest masks
     whose AND it is.
@@ -188,61 +182,67 @@ def _agreement_depth(f: PartialFn):
     return _closure_depths([_agreement_mask(args, v) for args, v in f.graph]).get(0)
 
 
-def _sweep_levels():
-    """f's least pairs (i, j) of closure levels breaking a delta relation,
-    as a map of f for one sweep, its closures memoised per mask set.
+# The depth tables' "no such key": above every arity a sweep compares with
+# d1 or d2, the chain's h + 1 <= PHI_MAX_N included.
+_ABSENT = PHI_MAX_N + 1
 
-    An AND a of i one-row agreement masks and an AND b of j zero-row ones
-    with a & b == 0 give a matrix whose image is the excluded tuple of
+
+def _depth_tables(rows: list) -> tuple:
+    """depth[S][a] and best[S][a] for every set S of the given rows, all
+    2**n of arity n in rank order, with S a bitmask over them.
+
+    depth[S][a] is the depth of the AND a in the closure of S's one-side
+    agreement masks (each row's mask as if it mapped to 1); best[S][a] is
+    the least depth of a key b of the closure of S's zero-side masks with
+    a & b == 0, the first such b as _closure_depths lists its keys by
+    depth.  Either is _ABSENT when there is none.
+    """
+    keys = range(len(rows))  # every AND of n-bit masks
+    depth, best = [], []
+    for s in range(2 ** len(rows)):
+        chosen = [args for r, args in enumerate(rows) if s >> r & 1]
+        ones = _closure_depths([_agreement_mask(args, 1) for args in chosen])
+        zeros = _closure_depths([_agreement_mask(args, 0) for args in chosen]).items()
+        depth.append([ones.get(a, _ABSENT) for a in keys])
+        best.append([next((j for b, j in zeros if not a & b), _ABSENT) for a in keys])
+    return depth, best
+
+
+def _depth_rows(n: int):
+    """(f, depth[A], best[B]) for every partial function f on {0, 1} of
+    arity n, in all_partial_fns order, with A and B the sets of f's rows
+    mapping to one and to zero, from tables built once per call.
+
+    An AND a of i one-row masks and an AND b of j zero-row masks with
+    a & b == 0 stack into a matrix whose image is the excluded tuple of
     delta(t, h) and none of whose columns is, so f breaks delta(t, h)
-    whenever i <= t and j <= h - t.  Both closures depend only on their
-    mask set, so each is built once per sweep, keyed by the masks; the
-    zero side is then reduced to best[a], the least depth j of a key b
-    with a & b == 0, or 0 when no key has that.  best is filled in as the
-    one-side keys a ask for it, not as a table over every a < 2**n: a
-    one side often has far fewer keys than that.
-    The pairs (i, best[a]) are the least of f's breaking pairs: every other
-    one is (i, j) with j >= best[a], and _breaks and _in_family are
-    monotone, so they give the same answers on these pairs.
+    whenever i <= t and j <= h - t; for each a the least such j is
+    best[B][a].  _d1 and _d2 reduce the two rows to f's delta depths.
     """
-    one_sides: dict = {}
-    zero_sides: dict = {}
-
-    def levels(f: PartialFn) -> frozenset:
-        ones, zeros = _row_masks(f)
-        side_a = one_sides.get(ones)
-        if side_a is None:
-            side_a = one_sides[ones] = _closure_depths(ones).items()
-        side_b = zero_sides.get(zeros)
-        if side_b is None:
-            side_b = zero_sides[zeros] = (_closure_depths(zeros).items(), {})
-        closure, best = side_b
-        pairs = []
-        for a, i in side_a:
-            j = best.get(a)
-            if j is None:
-                j = best[a] = min([d for b, d in closure if a & b == 0], default=0)
-            if j:
-                pairs.append((i, j))
-        return frozenset(pairs)
-
-    return levels
+    rows = [tuple_unrank(r, n, 2) for r in range(2**n)]
+    depth, best = _depth_tables(rows)
+    width = len(rows)
+    bit = {}  # (args, value) -> its row's bit, the zero side's above width
+    for r, args in enumerate(rows):
+        bit[args, 1] = 1 << r
+        bit[args, 0] = 1 << (width + r)
+    low = (1 << width) - 1
+    for f in all_partial_fns(2, n):
+        s = sum(map(bit.__getitem__, f.graph))
+        yield f, depth[s & low], best[s >> width]
 
 
-def _breaks(levels: frozenset, t: int, h: int) -> bool:
-    """Does some matrix break delta(t, h), given f's pairs (see _sweep_levels)?"""
-    return any(i <= t and j <= h - t for i, j in levels)
+def _d1(one: list, zero: list) -> int:
+    """d1 = min(depth[A][a] + best[B][a]) over the keys a: f preserves every
+    delta(t, h) with 1 <= t < h iff h < d1, as i <= t <= h - j is solvable
+    iff i + j <= h.  Above _ABSENT when f breaks none."""
+    return min(map(add, one, zero))
 
 
-def _in_family(levels: frozenset, h: int) -> bool:
-    """Does f, given its pairs (see _sweep_levels), preserve every
-    delta(t, h) with 1 <= t < h?
-
-    A pair (i, j) breaks delta(t, h) for some such t iff i <= t <= h - j
-    has a solution, that is iff i + j <= h; so membership is a threshold
-    in h, and a sweep over several arities builds f's pairs once.
-    """
-    return all(i + j > h for i, j in levels)
+def _d2(one: list, zero: list) -> int:
+    """d2 = min(max(depth[A][a], best[B][a])) over the keys a: f breaks
+    delta(m, 2m) iff m >= d2.  _ABSENT when f breaks none."""
+    return min(map(max, one, zero))
 
 
 def delta_preserves(f: PartialFn, t: int, h: int) -> PreservationVerdict:
@@ -325,26 +325,26 @@ def witness_nontrivial(f: PartialFn) -> NontrivialityWitness:
 
 def verify_witness(f: PartialFn, w: NontrivialityWitness) -> bool:
     """Replay a witness through the general matrix definition."""
-    if w.h != len(w.rows) or sorted(w.rows) != sorted(f.dom):
+    if w.h != len(w.rows) or tuple(sorted(w.rows)) != f.dom:  # f.graph is sorted
         return False
     mapping = f.mapping
     v = excluded_tuple(w.t, w.h)
-    if tuple(mapping[r] for r in w.rows) != v:
+    if tuple(map(mapping.__getitem__, w.rows)) != v:
         return False
     cert = ViolationCertificate(tuple(zip(*w.rows)), v)
-    return check_certificate(cert, f, delta(w.t, w.h))
+    return replay_certificate(cert, f.n, mapping, delta(w.t, w.h))
 
 
 def _swept_functions(arity_cap: int):
-    """The partial functions on {0, 1} of arity 1 .. arity_cap, which a
-    sweep covers; refused at once unless 1 <= arity_cap <= 3, as there are
-    3**(2**n) of arity n."""
+    """(f, depth[A], best[B]) for the partial functions f on {0, 1} of
+    arity 1 .. arity_cap, which a sweep covers (see _depth_rows); refused
+    at once unless 1 <= arity_cap <= 3, as there are 3**(2**n) of arity n."""
     if arity_cap < 1:
         raise ValueError(f"need arity_cap >= 1, got {arity_cap}")
     if arity_cap > 3:
         raise CapacityError("a sweep covers 3**(2**n) functions, arity_cap <= 3")
     arities = range(1, arity_cap + 1)
-    return itertools.chain.from_iterable(all_partial_fns(2, n) for n in arities)
+    return itertools.chain.from_iterable(_depth_rows(n) for n in arities)
 
 
 def chain_inclusion(h: int, arity_cap: int, dom_cap=None) -> bool:
@@ -358,12 +358,10 @@ def chain_inclusion(h: int, arity_cap: int, dom_cap=None) -> bool:
     if dom_cap is not None and dom_cap < 0:
         raise ValueError(f"need dom_cap >= 0, got {dom_cap}")
     phi(h + 1)  # the separator, refused above PHI_MAX_N before the sweep
-    levels_of = _sweep_levels()
-    for f in functions:
+    for f, one, zero in functions:
         if dom_cap is not None and len(f.graph) > dom_cap:
             continue
-        levels = levels_of(f)
-        if _in_family(levels, h + 1) and not _in_family(levels, h):
+        if h + 1 < _d1(one, zero) <= h:
             return False
     return all(phi_facts(h + 1, h).values())
 
@@ -408,25 +406,23 @@ def limit_is_trivial_clone(arity_cap: int) -> bool:
     arity_cap is trivial iff it preserves every delta family up to arity
     2**arity_cap.
 
-    Trivial functions must preserve every family member, which one
-    _in_family test at arity 2**arity_cap decides, since membership is a
+    Trivial functions must preserve every family member, which the one
+    test h_max < d1 at h_max = 2**arity_cap decides, since membership is a
     threshold in h; nontrivial ones must carry a replayable witness within
     the arity bound and must also escape the sparse sub-family
-    delta(n, 2n).
+    delta(m, 2m) for some m <= h_max // 2, that is d2 <= h_max // 2.
     """
     functions = _swept_functions(arity_cap)
     h_max = 2**arity_cap
-    levels_of = _sweep_levels()
-    for f in functions:
-        levels = levels_of(f)
+    for f, one, zero in functions:
         try:
             w = witness_nontrivial(f)
         except NoWitnessError:  # f is trivial
-            if not _in_family(levels, h_max):
+            if not h_max < _d1(one, zero):
                 return False
             continue
         if w.h > h_max or not verify_witness(f, w):
             return False
-        if not any(_breaks(levels, m, 2 * m) for m in range(1, h_max // 2 + 1)):
+        if _d2(one, zero) > h_max // 2:
             return False
     return True

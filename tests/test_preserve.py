@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
 from rigidrel.kernel import (
     CapacityError,
+    EncodingError,
     PartialFn,
     PartialUnaryFn,
     Relation,
@@ -110,6 +112,23 @@ def test_check_certificate_rejects_single_field_tamperings():
         (ViolationCertificate(((1, 1, 0), (0, 1, 1)), image), xor),
     ):
         assert not check_certificate(cert, f, rho), (cert, f)
+
+
+def test_check_certificate_checks_every_length_before_any_probe():
+    xor = PartialFn.from_mapping(
+        2, 2, {t: (t[0] + t[1]) % 2 for t in itertools.product(range(2), repeat=2)}
+    )
+    # the first column holds an entry outside {0, 1}, which a membership
+    # probe would reject with EncodingError; the second has the wrong length
+    cert = ViolationCertificate(((0, 2), (1,)), (1, 0))
+    assert check_certificate(cert, xor, LEQ2) is False
+    # the probe itself still raises, with the same messages as before
+    with pytest.raises(EncodingError, match=re.escape("tuple (0,) has arity 1, expected 2")):
+        (0,) in LEQ2
+    with pytest.raises(EncodingError, match=re.escape("entry 2 is not an int in range(0, 2)")):
+        (0, 2) in LEQ2
+    with pytest.raises(EncodingError, match=re.escape("entry True is not an int in range(0, 2)")):
+        (0, True) in LEQ2
 
 
 # -- unary_preserves -------------------------------------------------------

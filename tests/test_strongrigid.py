@@ -26,11 +26,11 @@ from rigidrel.preserve import (
 from rigidrel.strongrigid import (
     PHI_MAX_N,
     _agreement_depth,
-    _breaks,
+    _agreement_mask,
     _closure_depths,
-    _in_family,
-    _row_masks,
-    _sweep_levels,
+    _d1,
+    _d2,
+    _depth_rows,
     NoWitnessError,
     NontrivialityWitness,
     chain_inclusion,
@@ -52,9 +52,11 @@ XOR = PartialFn.from_mapping(
 )
 
 
-def _break_levels(f):
-    """f's least breaking pairs, from a fresh sweep memo."""
-    return _sweep_levels()(f)
+def _depths(n):
+    """(f, d1, d2) for every f of arity n, in all_partial_fns order, from
+    one set of depth tables."""
+    for f, one, zero in _depth_rows(n):
+        yield f, _d1(one, zero), _d2(one, zero)
 
 
 # -- the relations ------------------------------------------------------------
@@ -94,18 +96,21 @@ VERDICTS_SHA256 = "3bb73207157e4d6e010956107c2de84d38b348b7504c58fbfe52e9669dff2
 def test_delta_preserves_cross_validated():
     digest = hashlib.sha256()
     for n, h_top in ORACLE_SIZES:
-        for f in all_partial_fns(2, n):
-            levels = _break_levels(f)
+        for f, d1, d2 in _depths(n):
             for h in range(2, h_top + 1):
+                in_family = True
                 for t in range(1, h):
                     rel = delta(t, h)
                     slow = preserves(f, rel)
-                    assert _breaks(levels, t, h) == (not slow.preserved), (f, t, h)
+                    in_family = in_family and slow.preserved
+                    if 2 * t == h:
+                        assert (t >= d2) == (not slow.preserved), (f, t, h)
                     fast = delta_preserves(f, t, h)
                     digest.update(repr(fast).encode())
                     assert fast.preserved == slow.preserved, (f, t, h)
                     if not fast.preserved:
                         assert check_certificate(fast.certificate, f, rel)
+                assert (h < d1) == in_family, (f, h)
     assert digest.hexdigest() == VERDICTS_SHA256
 
 
@@ -118,18 +123,17 @@ def _exact_and_sets(rows, top):
     return sets
 
 
-def test_in_family_matches_exact_and_sets():
-    # the closure levels stop at their fixpoint and _in_family is a
-    # threshold on h; this reference builds every AND set and tests every t
+def test_depths_match_exact_and_sets():
+    # the closures stop at their fixpoint and membership is a threshold on
+    # h; this reference builds every AND set and tests every t
     for n in (1, 2, 3):
         full = (1 << n) - 1
-        for f in all_partial_fns(2, n):
+        for f, d1, d2 in _depths(n):
             masks = [sum(e << j for j, e in enumerate(args)) for args in f.dom]
             ones = [m for m, (_, v) in zip(masks, f.graph) if v == 1]
             zeros = [~m & full for m, (_, v) in zip(masks, f.graph) if v == 0]
             a_sets = _exact_and_sets(ones, 8)
             b_sets = _exact_and_sets(zeros, 8)
-            levels = _break_levels(f)
             for h in range(2, 10):
                 member = not any(
                     a & b == 0
@@ -137,33 +141,32 @@ def test_in_family_matches_exact_and_sets():
                     for a in a_sets[t]
                     for b in b_sets[h - t]
                 )
-                assert _in_family(levels, h) == member, (f, h)
-                per_t = not any(_breaks(levels, t, h) for t in range(1, h))
-                assert per_t == member, (f, h)
+                assert (h < d1) == member, (f, h)
+            for m in range(1, 5):  # delta(m, 2m) up to 2m = 8
+                breaks = any(a & b == 0 for a in a_sets[m] for b in b_sets[m])
+                assert (m >= d2) == breaks, (f, m)
 
 
 def _all_break_pairs(f):
-    """Every breaking pair (i, j), as _break_levels built them before the
-    sweeps shared closures: both closures in full, every pair of keys."""
-    ones, zeros = _row_masks(f)
+    """Every breaking pair (i, j), as the sweeps built them before they
+    shared closures: both closures of f in full, every pair of keys."""
+    ones = [_agreement_mask(args, 1) for args, v in f.graph if v == 1]
+    zeros = [_agreement_mask(args, 0) for args, v in f.graph if v == 0]
     side_b = _closure_depths(zeros).items()
     return frozenset(
         (i, j) for a, i in _closure_depths(ones).items() for b, j in side_b if a & b == 0
     )
 
 
-def test_sweep_levels_answer_as_every_break_pair():
-    levels_of = _sweep_levels()  # one memo across all 6,651 functions
+def test_depth_tables_answer_as_every_break_pair():
     for n in (1, 2, 3):
-        for f in all_partial_fns(2, n):
-            levels = levels_of(f)
-            assert levels == _break_levels(f), f  # a fresh memo agrees
+        for f, d1, d2 in _depths(n):  # one set of tables per arity
             pairs = _all_break_pairs(f)
-            assert levels <= pairs, f
-            for h in range(2, 10):
-                assert _in_family(levels, h) == _in_family(pairs, h), (f, h)
-                for t in range(1, h):
-                    assert _breaks(levels, t, h) == _breaks(pairs, t, h), (f, t, h)
+            if pairs:
+                assert d1 == min(i + j for i, j in pairs), f
+                assert d2 == min(max(i, j) for i, j in pairs), f
+            else:  # above every h a sweep compares, the chain's included
+                assert min(d1, d2) > PHI_MAX_N, f
 
 
 def test_limit_sweep_builds_one_closure_per_row_set(monkeypatch):
@@ -197,14 +200,30 @@ def test_limit_sweep_decides_triviality_once_per_function(monkeypatch):
 
 
 def test_limit_sweep_tests_family_membership_once_per_trivial_function(monkeypatch):
-    # membership is a threshold in h, so the top arity 2**3 decides it
+    # membership is a threshold in h, so one comparison of d1 with the top
+    # arity 2**3 decides it; d1 is read for trivial functions only
     calls = []
 
-    def counting(levels, h):
-        calls.append(h)
-        return _in_family(levels, h)
+    class Compared(int):
+        """An int that records every value it is compared with."""
 
-    monkeypatch.setattr(strongrigid, "_in_family", counting)
+        def __lt__(self, other):
+            calls.append(other)
+            return int(self) < other
+
+        def __le__(self, other):
+            calls.append(other)
+            return int(self) <= other
+
+        def __gt__(self, other):
+            calls.append(other)
+            return int(self) > other
+
+        def __ge__(self, other):
+            calls.append(other)
+            return int(self) >= other
+
+    monkeypatch.setattr(strongrigid, "_d1", lambda one, zero: Compared(_d1(one, zero)))
     assert limit_is_trivial_clone(3)
     trivial = sum(is_trivial(f) for n in (1, 2, 3) for f in all_partial_fns(2, n))
     assert calls == [8] * trivial == [8] * 1216
