@@ -12,23 +12,17 @@ the excluded tuple gives a matrix whose column j equals that tuple iff bit
 j survives the AND of their masks, so the matrix breaks delta(t, h) iff an
 AND of t one-row masks and an AND of h - t zero-row masks share no bit.
 The ANDs of i masks (repeats allowed) grow with i and reach the
-AND-closure, a fixpoint, within |dom(f)| steps.  Each closure depends
-only on its row set, so a sweep tabulates, once per arity n and for every
-set S of the 2**n rows, depth[S][a], the depth of the key a on the one
-side, and best[S][a], the least depth of a zero-side key sharing no bit
-with a.  A function then reads two integers off its ones set A and zeros
-set B, minimised over the keys a: d1 = depth[A][a] + best[B][a], and f
-preserves every delta(t, h) at arity h iff h < d1; and
-d2 = max(depth[A][a], best[B][a]), and f breaks delta(m, 2m) iff
-m >= d2.  One closure over all the masks likewise
-decides whether f preserves every relation of arity h (_agreement_depth,
-the Pol-Inv criterion h < d(f)); it reads only the masks of dom(f), so it
-holds on any base set {0..k-1}.  A single (t, h) is decided by
-delta_preserves' forward pass over the masks, which also picks the
-certificate.  These two alone check phi(n), the nontrivial function below
-every family of arity < n: phi_facts is the one home of its three facts,
-which the phi suite prints and the chain's separator needs, and phi
-refuses n > PHI_MAX_N.
+AND-closure, a fixpoint, within |dom(f)| steps.  A single (t, h) is
+decided by delta_preserves' forward pass over the masks, which also picks
+the certificate, and the limit needs no more (limit_is_trivial_clone).
+Only the chain, which sweeps every function, reads the closures off
+tables built once per row set (_depth_rows).  One closure over all the
+masks likewise decides whether f preserves every relation of arity h
+(_agreement_depth, the Pol-Inv criterion h < d(f)); it reads only the
+masks of dom(f), so it holds on any base set {0..k-1}.  These two alone
+check phi(n), the nontrivial function below every family of arity < n:
+phi_facts is the one home of its three facts, which the phi suite prints
+and the chain's separator needs, and phi refuses n > PHI_MAX_N.
 """
 
 from __future__ import annotations
@@ -51,6 +45,7 @@ from .kernel import (
 from .preserve import (
     PreservationVerdict,
     ViolationCertificate,
+    check_certificate,
     replay_certificate,
 )
 
@@ -75,10 +70,7 @@ def excluded_tuple(t: int, h: int) -> tuple:
 @functools.lru_cache(maxsize=None)
 def delta(t: int, h: int) -> Relation:
     """All h-tuples over {0, 1} except the excluded one; size 2**h - 1.
-
-    Cached: a Relation is immutable, and the sweeps replay witnesses
-    against the same few relations thousands of times.
-    """
+    Cached, as a Relation is immutable and replays reuse the same few."""
     v = excluded_tuple(t, h)
     skip = tuple_rank(v, 2)
     return Relation.from_ranks(2, h, (r for r in range(2**h) if r != skip))
@@ -182,8 +174,7 @@ def _agreement_depth(f: PartialFn):
     return _closure_depths([_agreement_mask(args, v) for args, v in f.graph]).get(0)
 
 
-# The depth tables' "no such key": above every arity a sweep compares with
-# d1 or d2, the chain's h + 1 <= PHI_MAX_N included.
+# "No such key" in the depth tables: above every h + 1 <= PHI_MAX_N the chain tests.
 _ABSENT = PHI_MAX_N + 1
 
 
@@ -213,11 +204,11 @@ def _depth_rows(n: int):
     arity n, in all_partial_fns order, with A and B the sets of f's rows
     mapping to one and to zero, from tables built once per call.
 
-    An AND a of i one-row masks and an AND b of j zero-row masks with
-    a & b == 0 stack into a matrix whose image is the excluded tuple of
-    delta(t, h) and none of whose columns is, so f breaks delta(t, h)
-    whenever i <= t and j <= h - t; for each a the least such j is
-    best[B][a].  _d1 and _d2 reduce the two rows to f's delta depths.
+    An AND of i one-row masks and one of j zero-row masks that share no
+    bit break delta(t, h) whenever i <= t and j <= h - t (see the module
+    docstring), so f preserves every delta(t, h) with 1 <= t < h iff
+    h < d1 = min(depth[A][a] + best[B][a]) over the keys a; d1 exceeds
+    _ABSENT when f breaks none.
     """
     rows = [tuple_unrank(r, n, 2) for r in range(2**n)]
     depth, best = _depth_tables(rows)
@@ -230,19 +221,6 @@ def _depth_rows(n: int):
     for f in all_partial_fns(2, n):
         s = sum(map(bit.__getitem__, f.graph))
         yield f, depth[s & low], best[s >> width]
-
-
-def _d1(one: list, zero: list) -> int:
-    """d1 = min(depth[A][a] + best[B][a]) over the keys a: f preserves every
-    delta(t, h) with 1 <= t < h iff h < d1, as i <= t <= h - j is solvable
-    iff i + j <= h.  Above _ABSENT when f breaks none."""
-    return min(map(add, one, zero))
-
-
-def _d2(one: list, zero: list) -> int:
-    """d2 = min(max(depth[A][a], best[B][a])) over the keys a: f breaks
-    delta(m, 2m) iff m >= d2.  _ABSENT when f breaks none."""
-    return min(map(max, one, zero))
 
 
 def delta_preserves(f: PartialFn, t: int, h: int) -> PreservationVerdict:
@@ -325,6 +303,8 @@ def witness_nontrivial(f: PartialFn) -> NontrivialityWitness:
 
 def verify_witness(f: PartialFn, w: NontrivialityWitness) -> bool:
     """Replay a witness through the general matrix definition."""
+    if f.k != 2:
+        raise DomainMismatchError("witnesses live on a two-element base set")
     if w.h != len(w.rows) or tuple(sorted(w.rows)) != f.dom:  # f.graph is sorted
         return False
     mapping = f.mapping
@@ -335,16 +315,14 @@ def verify_witness(f: PartialFn, w: NontrivialityWitness) -> bool:
     return replay_certificate(cert, f.n, mapping, delta(w.t, w.h))
 
 
-def _swept_functions(arity_cap: int):
-    """(f, depth[A], best[B]) for the partial functions f on {0, 1} of
-    arity 1 .. arity_cap, which a sweep covers (see _depth_rows); refused
-    at once unless 1 <= arity_cap <= 3, as there are 3**(2**n) of arity n."""
+def _arities(arity_cap: int) -> range:
+    """1 .. arity_cap, refused at once unless 1 <= arity_cap <= 3: the
+    chain sweeps all 3**(2**n) partial functions of arity n."""
     if arity_cap < 1:
         raise ValueError(f"need arity_cap >= 1, got {arity_cap}")
     if arity_cap > 3:
-        raise CapacityError("a sweep covers 3**(2**n) functions, arity_cap <= 3")
-    arities = range(1, arity_cap + 1)
-    return itertools.chain.from_iterable(_depth_rows(n) for n in arities)
+        raise CapacityError("the strong suites require arity_cap <= 3")
+    return range(1, arity_cap + 1)
 
 
 def chain_inclusion(h: int, arity_cap: int, dom_cap=None) -> bool:
@@ -354,14 +332,14 @@ def chain_inclusion(h: int, arity_cap: int, dom_cap=None) -> bool:
     nontrivial, preserves every h-ary relation and breaks delta(1, h+1)."""
     if h < 2:
         raise ValueError(f"need h >= 2, got {h}")
-    functions = _swept_functions(arity_cap)
+    functions = itertools.chain.from_iterable(map(_depth_rows, _arities(arity_cap)))
     if dom_cap is not None and dom_cap < 0:
         raise ValueError(f"need dom_cap >= 0, got {dom_cap}")
     phi(h + 1)  # the separator, refused above PHI_MAX_N before the sweep
     for f, one, zero in functions:
         if dom_cap is not None and len(f.graph) > dom_cap:
             continue
-        if h + 1 < _d1(one, zero) <= h:
+        if h + 1 < min(map(add, one, zero)) <= h:
             return False
     return all(phi_facts(h + 1, h).values())
 
@@ -373,13 +351,7 @@ def repeat_identifies(t: int, h: int) -> bool:
         raise ValueError(f"need 1 <= t < h, got t={t}, h={h}")
     bigger = delta(t, h + 1)
     derived = Relation.from_tuples(
-        2,
-        h,
-        (
-            x
-            for x in itertools.product((0, 1), repeat=h)
-            if x + (x[-1],) in bigger
-        ),
+        2, h, (x for x in itertools.product((0, 1), repeat=h) if x + (x[-1],) in bigger)
     )
     return derived == delta(t, h)
 
@@ -401,28 +373,55 @@ def prefix_escape(h0: int) -> PartialFn:
     return f
 
 
-def limit_is_trivial_clone(arity_cap: int) -> bool:
-    """Equivalence sweep: a partial function on {0, 1} with arity at most
-    arity_cap is trivial iff it preserves every delta family up to arity
-    2**arity_cap.
+def _minimal_nontrivial(n: int):
+    """The nontrivial partial functions on {0, 1} of arity n whose one-row
+    deletions are all trivial, by size, then domain and values in lex
+    order.  They have 2 to n + 1 rows: a least set of rows whose masks AND
+    to 0 has at most n, as each clears a bit no other does, and f is
+    nontrivial on it or, if constant there, on it and one more row."""
+    rows = [tuple_unrank(r, n, 2) for r in range(2**n)]
+    for size in range(2, n + 2):
+        for dom in itertools.combinations(rows, size):
+            for values in itertools.product((0, 1), repeat=size):
+                graph = tuple(zip(dom, values))
+                if is_trivial(PartialFn._trusted(2, n, graph)):
+                    continue
+                deletions = (graph[:i] + graph[i + 1 :] for i in range(size))
+                if all(is_trivial(PartialFn._trusted(2, n, g)) for g in deletions):
+                    yield PartialFn._trusted(2, n, graph)
 
-    Trivial functions must preserve every family member, which the one
-    test h_max < d1 at h_max = 2**arity_cap decides, since membership is a
-    threshold in h; nontrivial ones must carry a replayable witness within
-    the arity bound and must also escape the sparse sub-family
-    delta(m, 2m) for some m <= h_max // 2, that is d2 <= h_max // 2.
+
+def limit_is_trivial_clone(arity_cap: int) -> bool:
+    """A partial function on {0, 1} with arity at most arity_cap is trivial
+    iff it preserves every delta(t, h) up to arity h_max = 2**arity_cap.
+
+    If f is a subfunction of g, a matrix that breaks a relation under f
+    breaks it under g: preserving passes down and breaking passes up.  So
+    per arity n it is enough that the n total projections and the two
+    total constants preserve every delta(t, h), 1 <= t < h <= h_max, and
+    that each minimal nontrivial function carries a replayable witness
+    within h_max and breaks some delta(m, 2m), m <= h_max // 2, through a
+    certificate that replays.
     """
-    functions = _swept_functions(arity_cap)
+    arities = _arities(arity_cap)
     h_max = 2**arity_cap
-    for f, one, zero in functions:
-        try:
-            w = witness_nontrivial(f)
-        except NoWitnessError:  # f is trivial
-            if not h_max < _d1(one, zero):
+    pairs = [(t, h) for h in range(2, h_max + 1) for t in range(1, h)]
+    for n in arities:
+        rows = [tuple_unrank(r, n, 2) for r in range(2**n)]
+        for values in list(zip(*rows)) + [(0,) * 2**n, (1,) * 2**n]:
+            g = PartialFn._trusted(2, n, tuple(zip(rows, values)))
+            if not all(delta_preserves(g, t, h).preserved for t, h in pairs):
                 return False
-            continue
-        if w.h > h_max or not verify_witness(f, w):
-            return False
-        if _d2(one, zero) > h_max // 2:
-            return False
+        for g in _minimal_nontrivial(n):
+            w = witness_nontrivial(g)
+            if w.h > h_max or not verify_witness(g, w):
+                return False
+            for m in range(1, h_max // 2 + 1):
+                verdict = delta_preserves(g, m, 2 * m)
+                if not verdict.preserved:
+                    break
+            else:
+                return False
+            if not check_certificate(verdict.certificate, g, delta(m, 2 * m)):
+                return False
     return True

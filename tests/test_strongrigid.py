@@ -5,11 +5,15 @@ import functools
 import hashlib
 import itertools
 import random
+from collections import Counter
+from operator import add
 
 import pytest
 
+from rigidrel import kernel
 from rigidrel.kernel import (
     CapacityError,
+    DomainMismatchError,
     PartialFn,
     Relation,
     all_partial_fns,
@@ -28,9 +32,8 @@ from rigidrel.strongrigid import (
     _agreement_depth,
     _agreement_mask,
     _closure_depths,
-    _d1,
-    _d2,
     _depth_rows,
+    _minimal_nontrivial,
     NoWitnessError,
     NontrivialityWitness,
     chain_inclusion,
@@ -56,7 +59,7 @@ def _depths(n):
     """(f, d1, d2) for every f of arity n, in all_partial_fns order, from
     one set of depth tables."""
     for f, one, zero in _depth_rows(n):
-        yield f, _d1(one, zero), _d2(one, zero)
+        yield f, min(map(add, one, zero)), min(map(max, one, zero))
 
 
 # -- the relations ------------------------------------------------------------
@@ -169,64 +172,22 @@ def test_depth_tables_answer_as_every_break_pair():
                 assert min(d1, d2) > PHI_MAX_N, f
 
 
-def test_limit_sweep_builds_one_closure_per_row_set(monkeypatch):
-    calls = []
+def test_limit_reads_no_sweep(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the limit swept every function")
 
-    def counting(rows):
-        calls.append(rows)
-        return _closure_depths(rows)
+    replays = []
 
-    monkeypatch.setattr(strongrigid, "_closure_depths", counting)
+    def counting(f, w):
+        replays.append(f)
+        return verify_witness(f, w)
+
+    monkeypatch.setattr(strongrigid, "all_partial_fns", refuse)
+    monkeypatch.setattr(kernel, "all_partial_fns", refuse)
+    monkeypatch.setattr(strongrigid, "_depth_tables", refuse)
+    monkeypatch.setattr(strongrigid, "verify_witness", counting)
     assert limit_is_trivial_clone(3)
-    first = len(calls)
-    # one-row sets and complemented zero-row sets: 2 * (2**2 + 2**4 + 2**8)
-    assert 0 < first <= 552
-    calls.clear()
-    assert limit_is_trivial_clone(3)
-    assert len(calls) == first  # the memo does not outlive its sweep
-
-
-def test_limit_sweep_decides_triviality_once_per_function(monkeypatch):
-    calls = []
-
-    def counting(f):
-        calls.append(f)
-        return is_trivial(f)
-
-    monkeypatch.setattr(strongrigid, "is_trivial", counting)
-    assert limit_is_trivial_clone(3)
-    # the 3**2 + 3**4 + 3**8 functions of arity 1 to 3, once each
-    assert len(calls) == 6651
-
-
-def test_limit_sweep_tests_family_membership_once_per_trivial_function(monkeypatch):
-    # membership is a threshold in h, so one comparison of d1 with the top
-    # arity 2**3 decides it; d1 is read for trivial functions only
-    calls = []
-
-    class Compared(int):
-        """An int that records every value it is compared with."""
-
-        def __lt__(self, other):
-            calls.append(other)
-            return int(self) < other
-
-        def __le__(self, other):
-            calls.append(other)
-            return int(self) <= other
-
-        def __gt__(self, other):
-            calls.append(other)
-            return int(self) > other
-
-        def __ge__(self, other):
-            calls.append(other)
-            return int(self) >= other
-
-    monkeypatch.setattr(strongrigid, "_d1", lambda one, zero: Compared(_d1(one, zero)))
-    assert limit_is_trivial_clone(3)
-    trivial = sum(is_trivial(f) for n in (1, 2, 3) for f in all_partial_fns(2, n))
-    assert calls == [8] * trivial == [8] * 1216
+    assert len(replays) == 1 + 7 + 57  # the minimal nontrivial functions
 
 
 # delta_preserves certificates as the forward pass picked them before the
@@ -540,6 +501,15 @@ def test_verify_witness_rejects_wrong_shape():
     assert not verify_witness(XOR, w)
 
 
+def test_verify_witness_refuses_other_base_sets():
+    # rows outside {0, 1} and rows inside it alike, as witness_nontrivial
+    # and delta_preserves refuse k != 2
+    for mapping in ({(0,): 1, (2,): 0}, {(0,): 1, (1,): 0}):
+        f = PartialFn.from_mapping(3, 1, mapping)
+        with pytest.raises(DomainMismatchError):
+            verify_witness(f, NontrivialityWitness(2, 1, tuple(mapping)))
+
+
 # -- chain, coordinate-repetition identification, limit ----------------------------
 
 
@@ -611,6 +581,86 @@ def test_phi_library_checks_refuse_above_phi_max_n(monkeypatch):
 
 def test_limit_is_trivial_clone_arity_two():
     assert limit_is_trivial_clone(2)
+
+
+# arity -> {domain size: number of minimal nontrivial functions}
+MINIMAL_SIZES = {1: {2: 1}, 2: {2: 5, 3: 2}, 3: {2: 19, 3: 36, 4: 2}}
+
+
+def test_minimal_nontrivial_functions_match_brute_force():
+    for n, sizes in MINIMAL_SIZES.items():
+        nontrivial = {f.graph for f in all_partial_fns(2, n) if not is_trivial(f)}
+        rows = set(itertools.product((0, 1), repeat=n))
+        for g in nontrivial:  # nontriviality passes up, so one-row deletions decide
+            for row, v in itertools.product(rows - {args for args, _ in g}, (0, 1)):
+                assert tuple(sorted(g + ((row, v),))) in nontrivial
+        brute = {
+            g
+            for g in nontrivial
+            if not any(g[:i] + g[i + 1 :] in nontrivial for i in range(len(g)))
+        }
+        found = list(_minimal_nontrivial(n))
+        assert len(found) == len(brute) == sum(sizes.values())
+        assert {g.graph for g in found} == brute
+        assert Counter(len(g.graph) for g in found) == sizes
+        assert all(len(g.graph) <= n + 1 for g in found)
+        # each breaks delta(m, 2m) already at m = n, below 2**n // 2 at n = 3
+        assert not any(delta_preserves(g, n, 2 * n).preserved for g in found)
+
+
+def test_both_lemmas_hold_exhaustively():
+    # every trivial f lies below one of the n + 2 maximal trivial functions,
+    # with a d1 no smaller; every nontrivial f lies above a minimal one,
+    # with a d2 no larger
+    for n in (1, 2, 3):
+        fns = list(_depths(n))
+        depths = {f.graph: (d1, d2) for f, d1, d2 in fns}
+        rows = list(itertools.product((0, 1), repeat=n))
+        tables = list(zip(*rows)) + [(0,) * 2**n, (1,) * 2**n]
+        tops = [tuple(zip(rows, values)) for values in tables]
+        bottoms = [g.graph for g in _minimal_nontrivial(n)]
+        assert len(tops) == n + 2 and len(bottoms) == sum(MINIMAL_SIZES[n].values())
+        for f, d1, d2 in fns:
+            graph = set(f.graph)
+            if is_trivial(f):
+                assert any(graph <= set(g) and d1 >= depths[g][0] for g in tops), f
+            else:
+                assert any(set(g) <= graph and d2 <= depths[g][1] for g in bottoms), f
+
+
+def test_limit_fails_when_a_step_of_the_proof_fails(monkeypatch):
+    # in turn: a projection or a constant breaks a delta, a minimal
+    # function's witness fails, no delta(m, 2m) breaks, and no certificate
+    # replays
+    real, kept = delta_preserves, PreservationVerdict(True)
+    rows = list(itertools.product((0, 1), repeat=3))
+
+    def breaking(values):
+        """delta_preserves, but the arity-3 function with these values on
+        all rows breaks every delta."""
+        top = tuple(zip(rows, values))
+
+        def fake(f, t, h):
+            if f.graph == top:
+                cert = ViolationCertificate((), excluded_tuple(t, h))
+                return PreservationVerdict(False, cert)
+            return real(f, t, h)
+
+        return fake
+
+    assert phi(3) in _minimal_nontrivial(3)
+    cases = (
+        ("delta_preserves", breaking([r[2] for r in rows])),
+        ("delta_preserves", breaking([1] * 8)),
+        ("verify_witness", lambda f, w: f != phi(3) and verify_witness(f, w)),
+        ("delta_preserves", lambda f, t, h: real(f, t, h) if h != 2 * t else kept),
+        ("check_certificate", lambda cert, f, rho: False),
+    )
+    assert limit_is_trivial_clone(3)
+    for name, fake in cases:
+        with monkeypatch.context() as m:
+            m.setattr(strongrigid, name, fake)
+            assert limit_is_trivial_clone(3) is False, name
 
 
 def test_limit_capacity_guard():
