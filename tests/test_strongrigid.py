@@ -4,6 +4,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 import random
 from collections import Counter
 from operator import add
@@ -170,6 +171,75 @@ def test_depth_tables_answer_as_every_break_pair():
                 assert d2 == min(max(i, j) for i, j in pairs), f
             else:  # above every h a sweep compares, the chain's included
                 assert min(d1, d2) > PHI_MAX_N, f
+
+
+def test_limit_sweep_builds_one_closure_per_row_set(monkeypatch):
+    # the limit decides each delta(t, h) by delta_preserves' forward pass and
+    # builds no closure; the chain's sweep builds the one-side and zero-side
+    # closures once per row set, 2 * (2**2 + 2**4 + 2**8), and its tables do
+    # not outlive the sweep
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return _closure_depths(rows)
+
+    monkeypatch.setattr(strongrigid, "_closure_depths", counting)
+    assert limit_is_trivial_clone(3)
+    assert calls == []
+    assert chain_inclusion(2, 3)
+    first = len(calls)
+    assert first == 552 + 1  # and one for the separator phi(3)'s agreement depth
+    calls.clear()
+    assert chain_inclusion(2, 3)
+    assert len(calls) == first
+
+
+def test_limit_sweep_decides_triviality_once_per_function(monkeypatch):
+    # the enumeration decides each candidate of 2 to n + 1 rows once, and
+    # witness_nontrivial's own guard decides the 65 minimal ones again
+    minimal = {(n, g.graph) for n in (1, 2, 3) for g in _minimal_nontrivial(n)}
+    calls = Counter()
+
+    def counting(f):
+        calls[f.n, f.graph] += 1
+        return is_trivial(f)
+
+    monkeypatch.setattr(strongrigid, "is_trivial", counting)
+    assert limit_is_trivial_clone(3)
+    candidates = sum(
+        math.comb(2**n, size) * 2**size for n in (1, 2, 3) for size in range(2, n + 2)
+    )
+    assert candidates == 4 + 56 + 1680
+    assert len(calls) == candidates
+    assert {key for key, c in calls.items() if c != 1} == minimal
+    assert set(calls.values()) == {1, 2}
+    assert sum(calls.values()) == candidates + 65
+
+
+def test_limit_sweep_tests_family_membership_once_per_trivial_function(monkeypatch):
+    # membership passes down to subfunctions, so delta_preserves is asked
+    # about the n + 2 total projections and constants of each arity only,
+    # once per pair 1 <= t < h <= 2**3; every other question is about a
+    # minimal nontrivial function and a delta(m, 2m)
+    minimal = {g for n in (1, 2, 3) for g in _minimal_nontrivial(n)}
+    calls = []
+
+    def counting(f, t, h):
+        calls.append((f, t, h))
+        return delta_preserves(f, t, h)
+
+    monkeypatch.setattr(strongrigid, "delta_preserves", counting)
+    assert limit_is_trivial_clone(3)
+    pairs = {(t, h) for h in range(2, 9) for t in range(1, h)}
+    trivial = [(f.n, f.graph, t, h) for f, t, h in calls if is_trivial(f)]
+    tops = {(n, graph) for n, graph, _, _ in trivial}
+    assert len(trivial) == len(set(trivial)) == len(tops) * len(pairs) == 12 * 28
+    assert all(len(graph) == 2**n for n, graph in tops)
+    assert {(t, h) for _, _, t, h in trivial} == pairs
+    rest = [(f, t, h) for f, t, h in calls if not is_trivial(f)]
+    assert {f for f, _, _ in rest} == minimal
+    assert all(h == 2 * t <= 8 for _, t, h in rest)
 
 
 def test_limit_reads_no_sweep(monkeypatch):
