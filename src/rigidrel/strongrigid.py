@@ -378,23 +378,18 @@ def _minimal_nontrivial(n: int):
     deletions are all trivial, by size, then domain and values in lex
     order.  They have 2 to n + 1 rows: a least set of rows whose masks AND
     to 0 has at most n, as each clears a bit no other does, and f is
-    nontrivial on it or, if constant there, on it and one more row.  Each
-    candidate's triviality is decided once: its one-row deletions are
-    looked up among the nontrivial graphs one row smaller."""
+    nontrivial on it or, if constant there, on it and one more row."""
     rows = [tuple_unrank(r, n, 2) for r in range(2**n)]
-    below: set = set()  # the nontrivial graphs one row smaller; one row is a constant
+    nontrivial = set()  # of fewer rows: each candidate is decided once
     for size in range(2, n + 2):
-        found = set()
         for dom in itertools.combinations(rows, size):
             for values in itertools.product((0, 1), repeat=size):
-                graph = tuple(zip(dom, values))
-                f = PartialFn._trusted(2, n, graph)
+                f = PartialFn._trusted(2, n, tuple(zip(dom, values)))
                 if is_trivial(f):
                     continue
-                found.add(graph)
-                if not any(graph[:i] + graph[i + 1 :] in below for i in range(size)):
+                nontrivial.add(f.graph)
+                if not any(f.graph[:i] + f.graph[i + 1 :] in nontrivial for i in range(size)):
                     yield f
-        below = found
 
 
 def limit_is_trivial_clone(arity_cap: int) -> bool:
